@@ -17,8 +17,6 @@ stationary increments and component exponents H_1..H_p in (0,1):
 from . import errors
 from .covariance import (
     CovMatrix,
-    cov_cross_critical,
-    cov_cross_general,
     cov_matrix,
     cov_pair,
     cov_same,
@@ -30,12 +28,9 @@ from .model import (
     CovarianceModel,
     HurstVector,
     MixingMatrices,
-    PairCoefficients,
-    PairRegime,
     TimeGrid,
     ValidationReport,
-    build_model,
-    classify_pair,
+    critical_pairs,
     ensure_valid,
     load_model,
     model_to_dict,
@@ -72,8 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "HurstVector",
-    "PairRegime",
-    "PairCoefficients",
     "CovarianceModel",
     "MixingMatrices",
     "TimeGrid",
@@ -87,10 +80,9 @@ __all__ = [
     "TildeC",
     "KernelKind",
     "validate_hurst",
-    "classify_pair",
+    "critical_pairs",
     "validate_model",
     "ensure_valid",
-    "build_model",
     "load_model",
     "parse_model",
     "model_to_dict",
@@ -105,8 +97,6 @@ __all__ = [
     "quadrature_kernel_oracle",
     "cov_same",
     "sign_coeff",
-    "cov_cross_general",
-    "cov_cross_critical",
     "cov_pair",
     "cov_matrix",
     "write_cov_csv",

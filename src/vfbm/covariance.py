@@ -10,8 +10,11 @@ acquires x*log|x| terms in the critical regime (H_i + H_j = 1).  All
 formulas vanish identically at s = 0 or t = 0 and are exactly
 self-similar: r(lambda s, lambda t) = lambda^(H_i+H_j) r(s, t).
 
-``cov_matrix`` assembles the joint covariance of the vector process over a
-time grid, ordered (time, component) lexicographically.
+``cov_pair`` reads the coefficients of a pair from the model's arrays:
+sigma, c (c_ij at c[i, j] and c_ji at c[j, i], or d_ij at both) and the
+antisymmetric f (f_ij at f[i, j]); the model's critical mask picks the
+formula.  ``cov_matrix`` assembles the joint covariance of the vector
+process over a time grid, ordered (time, component) lexicographically.
 """
 
 from __future__ import annotations
@@ -21,16 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, RegimeMismatchError
+from .errors import IndexOutOfRangeError
 from .kernels import _maybe_scalar, _xlogx
-from .model import CovarianceModel, PairCoefficients, PairRegime, TimeGrid
+from .model import CovarianceModel, TimeGrid
 
 __all__ = [
     "CovMatrix",
     "cov_same",
     "sign_coeff",
-    "cov_cross_general",
-    "cov_cross_critical",
     "cov_pair",
     "cov_matrix",
     "write_cov_csv",
@@ -52,60 +53,48 @@ def sign_coeff(c_ij: float, c_ji: float, t):
     return _maybe_scalar(np.where(np.asarray(t, dtype=float) >= 0.0, c_ij, c_ji))
 
 
-def cov_cross_general(pc: PairCoefficients, h_i: float, h_j: float, s, t):
-    """Cross-covariance E X_i(s) X_j(t) in the general regime.
-
-    (sigma_i sigma_j / 2) { c_ij(s)|s|^a + c_ji(t)|t|^a - c_ji(t-s)|t-s|^a },
-    a = H_i + H_j, where c_ij(.) and c_ji(.) switch between c_ij and c_ji
-    with the sign of their argument.
-    """
-    if pc.regime is not PairRegime.GENERAL:
-        raise RegimeMismatchError(f"pair ({pc.i},{pc.j}) is critical; use cov_cross_critical")
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a = h_i + h_j
-    val = (
-        sign_coeff(pc.c_ij, pc.c_ji, s) * np.abs(s) ** a
-        + sign_coeff(pc.c_ji, pc.c_ij, t) * np.abs(t) ** a
-        - sign_coeff(pc.c_ji, pc.c_ij, t - s) * np.abs(t - s) ** a
-    )
-    return _maybe_scalar(0.5 * pc.sigma_i * pc.sigma_j * val)
-
-
-def cov_cross_critical(pc: PairCoefficients, s, t):
-    """Cross-covariance E X_i(s) X_j(t) in the critical regime H_i + H_j = 1.
-
-    (sigma_i sigma_j / 2) { d_ij (|s|+|t|-|s-t|)
-                            + f_ij (t log|t| - s log|s| - (t-s) log|t-s|) }.
-    """
-    if pc.regime is not PairRegime.CRITICAL:
-        raise RegimeMismatchError(f"pair ({pc.i},{pc.j}) is general; use cov_cross_general")
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    spread = np.abs(s) + np.abs(t) - np.abs(s - t)
-    logpart = _xlogx(t) - _xlogx(s) - _xlogx(t - s)
-    return _maybe_scalar(0.5 * pc.sigma_i * pc.sigma_j * (pc.d_ij * spread + pc.f_ij * logpart))
-
-
 def cov_pair(model: CovarianceModel, i: int, j: int, s, t):
-    """E X_i(s) X_j(t) with regime dispatch (1-based component indices).
+    """E X_i(s) X_j(t) (1-based component indices).
 
-    Queries against the transposed orientation (i > j) evaluate the stored
-    (j, i) pair at swapped times, which is the exact exchange identity of
-    the formulas.
+    With a = H_i + H_j and i < j, the general regime gives
+
+        (sigma_i sigma_j / 2) { c_ij(s)|s|^a + c_ji(t)|t|^a - c_ji(t-s)|t-s|^a },
+
+    where c_ij(.) and c_ji(.) switch between c_ij = model.c[i-1, j-1] and
+    c_ji = model.c[j-1, i-1] with the sign of their argument, and the
+    critical regime (a = 1) gives
+
+        (sigma_i sigma_j / 2) { d_ij (|s|+|t|-|s-t|)
+                                + f_ij (t log|t| - s log|s| - (t-s) log|t-s|) }
+
+    with d_ij = model.c[i-1, j-1] and f_ij = model.f[i-1, j-1].  Queries
+    against the transposed orientation (i > j) evaluate (j, i) at swapped
+    times, which is the exact exchange identity of the formulas.
     """
     p = model.p
     if not (1 <= i <= p) or not (1 <= j <= p):
         raise IndexOutOfRangeError(f"component indices ({i},{j}) out of range for p = {p}")
-    if i == j:
-        pc = model.pair(i, i)
-        return cov_same(model.hurst[i - 1], pc.sigma_i, s, t)
     if i > j:
         return cov_pair(model, j, i, t, s)
-    pc = model.pair(i, j)
-    if pc.regime is PairRegime.GENERAL:
-        return cov_cross_general(pc, model.hurst[i - 1], model.hurst[j - 1], s, t)
-    return cov_cross_critical(pc, s, t)
+    i, j = i - 1, j - 1
+    h_i, sigma_i = model.hurst[i], float(model.sigma[i])
+    if i == j:
+        return cov_same(h_i, sigma_i, s, t)
+    h_j, sigma_j = model.hurst[j], float(model.sigma[j])
+    c_ij, c_ji = float(model.c[i, j]), float(model.c[j, i])
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if model.critical[i, j]:
+        spread = np.abs(s) + np.abs(t) - np.abs(s - t)
+        logpart = _xlogx(t) - _xlogx(s) - _xlogx(t - s)
+        return _maybe_scalar(0.5 * sigma_i * sigma_j * (c_ij * spread + float(model.f[i, j]) * logpart))
+    a = h_i + h_j
+    val = (
+        sign_coeff(c_ij, c_ji, s) * np.abs(s) ** a
+        + sign_coeff(c_ji, c_ij, t) * np.abs(t) ** a
+        - sign_coeff(c_ji, c_ij, t - s) * np.abs(t - s) ** a
+    )
+    return _maybe_scalar(0.5 * sigma_i * sigma_j * val)
 
 
 @dataclass(frozen=True, eq=False)

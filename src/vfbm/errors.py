@@ -57,12 +57,6 @@ class NotPositiveDefiniteError(VfbmError):
         super().__init__(f"coefficient matrix R is not positive definite (lambda_min = {lambda_min:.6e})")
 
 
-class RegimeMismatchError(VfbmError):
-    """A covariance formula was called with coefficients of the other regime."""
-
-    code = "RegimeMismatch"
-
-
 class IndexOutOfRangeError(VfbmError):
     """A 1-based component index is outside 1..p."""
 

@@ -1,18 +1,20 @@
 """Domain types and validation for vector-fBm parameterizations.
 
 A model is fully specified by the Hurst exponents H_1..H_p, the
-per-component scales sigma_i = std X_i(1), and one coefficient pair per
-component pair (i, j):
+per-component scales sigma_i = std X_i(1), and two p x p coefficient
+arrays (0-based indices below):
 
-* general regime, H_i + H_j != 1: reals (c_ij, c_ji);
-* critical regime, H_i + H_j  = 1: reals (d_ij, f_ij), where f_ij weights
-  the logarithmic part of the cross-covariance.
+* ``c``: for a general pair (H_i + H_j != 1), c[i, j] = c_ij and
+  c[j, i] = c_ji; for a critical pair (H_i + H_j = 1), d_ij in both
+  places; the diagonal is 1;
+* ``f``: antisymmetric, f[i, j] = f_ij = -f[j, i] on critical pairs, where
+  it weights the logarithmic part of the cross-covariance; 0 elsewhere.
 
-Positive definiteness of the normalized matrix R -- the correlation
-matrix of (X_1(1)/sigma_1, ..., X_p(1)/sigma_p), with off-diagonal
-entries (c_ij + c_ji)/2 or d_ij -- is a necessary condition for such a
-process to exist; ``validate_model`` checks it with a floating-point-safe
-tolerance.
+Both follow the exchange rule r_ji(s, t) = r_ij(t, s).  The symmetric part
+R = (c + c^T)/2 is the correlation matrix of (X_1(1)/sigma_1, ...,
+X_p(1)/sigma_p), with off-diagonal entries (c_ij + c_ji)/2 or d_ij; its
+positive definiteness is a necessary condition for such a process to exist,
+and ``validate_model`` checks it with a floating-point-safe tolerance.
 
 Model files are JSON with 1-based component indices; either explicit
 coefficients or mixing matrices are accepted (the latter are converted on
@@ -23,34 +25,25 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRangeError,
-    NearSingularPairError,
-    NotPositiveDefiniteError,
-    OutOfRangeError,
-)
+from .errors import NearSingularPairError, NotPositiveDefiniteError, OutOfRangeError
 from .special import CRITICAL_TOL
 
 __all__ = [
     "HurstVector",
-    "PairRegime",
-    "PairCoefficients",
     "CovarianceModel",
     "MixingMatrices",
     "TimeGrid",
     "ValidationReport",
     "validate_hurst",
-    "classify_pair",
+    "critical_pairs",
     "validate_model",
     "ensure_valid",
-    "build_model",
     "load_model",
     "parse_model",
     "model_to_dict",
@@ -65,10 +58,9 @@ NEAR_SINGULAR_BAND = 1e-8
 # lambda_min > -PD_TOL * max(1, lambda_max) counts as positive (semi)definite.
 PD_TOL = 1e-10
 
-
-class PairRegime(Enum):
-    GENERAL = "general"
-    CRITICAL = "critical"
+# Coefficient keys of a model-file pair entry, by regime.
+_GENERAL_KEYS = ("c_ij", "c_ji")
+_CRITICAL_KEYS = ("d_ij", "f_ij")
 
 
 @dataclass(frozen=True)
@@ -109,116 +101,76 @@ def validate_hurst(h: Sequence[float]) -> HurstVector:
     return HurstVector(tuple(vals))
 
 
-def classify_pair(h_i: float, h_j: float) -> PairRegime:
-    """Critical iff H_i + H_j = 1 within the exact-equality tolerance."""
-    if abs(h_i + h_j - 1.0) <= CRITICAL_TOL:
-        return PairRegime.CRITICAL
-    return PairRegime.GENERAL
+def critical_pairs(hurst: HurstVector) -> np.ndarray:
+    """Boolean p x p mask of the critical pairs: i != j and H_i + H_j = 1
+    within the exact-equality tolerance.  Every other pair is general."""
+    h = np.asarray(hurst.h, dtype=float)
+    mask = np.abs(h[:, None] + h[None, :] - 1.0) <= CRITICAL_TOL
+    np.fill_diagonal(mask, False)
+    return mask
 
 
-@dataclass(frozen=True)
-class PairCoefficients:
-    """Cross-covariance parameters of one component pair (i <= j, 1-based).
-
-    Exactly one coefficient style is populated: (c_ij, c_ji) in the general
-    regime, (d_ij, f_ij) in the critical one.  The diagonal i == j is always
-    general with c_ii = c'_ii = 1, reducing to the scalar fBm covariance.
-    """
-
-    i: int
-    j: int
-    sigma_i: float
-    sigma_j: float
-    regime: PairRegime
-    c_ij: float | None = None
-    c_ji: float | None = None
-    d_ij: float | None = None
-    f_ij: float | None = None
-
-    def __post_init__(self):
-        if self.i < 1 or self.j < self.i:
-            raise IndexOutOfRangeError(f"pair indices must satisfy 1 <= i <= j, got ({self.i},{self.j})")
-        if self.sigma_i <= 0.0 or self.sigma_j <= 0.0:
-            raise ValueError(f"sigma must be positive, got ({self.sigma_i},{self.sigma_j})")
-        general = self.c_ij is not None and self.c_ji is not None
-        critical = self.d_ij is not None and self.f_ij is not None
-        if self.regime is PairRegime.GENERAL:
-            if not general or critical:
-                raise ValueError(f"pair ({self.i},{self.j}): general regime needs exactly (c_ij, c_ji)")
-        else:
-            if not critical or general:
-                raise ValueError(f"pair ({self.i},{self.j}): critical regime needs exactly (d_ij, f_ij)")
-        if self.i == self.j:
-            if self.regime is not PairRegime.GENERAL or self.c_ij != 1.0 or self.c_ji != 1.0:
-                raise ValueError(f"diagonal pair ({self.i},{self.i}) must be general with c = c' = 1")
-
-    @property
-    def r_entry(self) -> float:
-        """Entry of the normalized matrix R: the correlation of X_i(1), X_j(1).
-
-        Equals (c_ij + c_ji)/2 in the general regime and d_ij in the
-        critical one, both being E X_i(1) X_j(1) / (sigma_i sigma_j).
-        """
-        if self.regime is PairRegime.GENERAL:
-            return 0.5 * (self.c_ij + self.c_ji) if self.i != self.j else 1.0
-        return self.d_ij
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class CovarianceModel:
-    """A fully specified vfBm law: exponents, pair coefficients, matrix R."""
+    """A fully specified vfBm law: exponents, scales and the (c, f) arrays.
+
+    ``sigma`` defaults to ones, ``c`` to the identity and ``f`` to zeros,
+    i.e. independent unit-scale components.  The constructor rejects wrong
+    shapes, non-finite values (also an R that overflows), sigma <= 0, a
+    diagonal of ``c`` other than 1,
+    an asymmetric ``c`` on a critical pair, and an ``f`` that is not
+    antisymmetric or is nonzero on a general pair (ValueError).  ``critical``
+    is the mask of ``critical_pairs`` and ``r`` the matrix R = (c + c^T)/2.
+    """
 
     hurst: HurstVector
-    pairs: Mapping[tuple[int, int], PairCoefficients]
-    r: np.ndarray = field(repr=False)
+    sigma: np.ndarray | None = None
+    c: np.ndarray | None = None
+    f: np.ndarray | None = None
+    critical: np.ndarray = field(init=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p = self.hurst.p
+        sigma = np.ones(p) if self.sigma is None else np.array(self.sigma, dtype=float)
+        c = np.eye(p) if self.c is None else np.array(self.c, dtype=float)
+        f = np.zeros((p, p)) if self.f is None else np.array(self.f, dtype=float)
+        if sigma.shape != (p,) or c.shape != (p, p) or f.shape != (p, p):
+            raise ValueError(
+                f"p = {p} needs sigma ({p},) and c, f ({p}, {p}); got {sigma.shape}, {c.shape}, {f.shape}"
+            )
+        for name, a in (("sigma", sigma), ("c", c), ("f", f)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite, got {a.tolist()}")
+        if not (sigma > 0.0).all():
+            raise ValueError(f"sigma must be positive, got {sigma.tolist()}")
+        if not (c.diagonal() == 1.0).all():
+            raise ValueError(f"the diagonal of c must be 1, got {c.diagonal().tolist()}")
+        critical = critical_pairs(self.hurst)
+        if ((c != c.T) & critical).any():
+            raise ValueError("c must be symmetric on critical pairs (c_ij = c_ji = d_ij)")
+        if not (f == -f.T).all():
+            raise ValueError("f must be antisymmetric (f_ji = -f_ij)")
+        if ((f != 0.0) & ~critical).any():
+            raise ValueError("f must be 0 on general pairs (H_i + H_j != 1)")
+        with np.errstate(over="ignore"):
+            r = (c + c.T) / 2.0
+        if not np.isfinite(r).all():
+            raise ValueError("R = (c + c^T)/2 overflows")
+        object.__setattr__(self, "sigma", _frozen(sigma))
+        object.__setattr__(self, "c", _frozen(c))
+        object.__setattr__(self, "f", _frozen(f))
+        object.__setattr__(self, "critical", _frozen(critical))
+        object.__setattr__(self, "r", _frozen(r))
 
     @property
     def p(self) -> int:
         return self.hurst.p
-
-    @property
-    def sigma(self) -> tuple[float, ...]:
-        return tuple(self.pairs[(i, i)].sigma_i for i in range(1, self.p + 1))
-
-    def pair(self, i: int, j: int) -> PairCoefficients:
-        """The stored coefficients for (min(i,j), max(i,j))."""
-        key = (i, j) if i <= j else (j, i)
-        if key not in self.pairs:
-            raise IndexOutOfRangeError(f"no pair {key} in model with p = {self.p}")
-        return self.pairs[key]
-
-
-def build_model(hurst: HurstVector, pairs: Iterable[PairCoefficients]) -> CovarianceModel:
-    """Assemble a CovarianceModel, filling R from the pair coefficients.
-
-    Missing off-diagonal pairs default to independent components (zero
-    coefficients); missing diagonals default to sigma = 1.
-    """
-    p = hurst.p
-    table: dict[tuple[int, int], PairCoefficients] = {}
-    for pc in pairs:
-        if pc.j > p:
-            raise IndexOutOfRangeError(f"pair ({pc.i},{pc.j}) out of range for p = {p}")
-        table[(pc.i, pc.j)] = pc
-    for i in range(1, p + 1):
-        if (i, i) not in table:
-            table[(i, i)] = PairCoefficients(
-                i=i, j=i, sigma_i=1.0, sigma_j=1.0, regime=PairRegime.GENERAL, c_ij=1.0, c_ji=1.0
-            )
-    sigma = [table[(i, i)].sigma_i for i in range(1, p + 1)]
-    for i in range(1, p + 1):
-        for j in range(i + 1, p + 1):
-            if (i, j) not in table:
-                regime = classify_pair(hurst[i - 1], hurst[j - 1])
-                zero = dict(c_ij=0.0, c_ji=0.0) if regime is PairRegime.GENERAL else dict(d_ij=0.0, f_ij=0.0)
-                table[(i, j)] = PairCoefficients(
-                    i=i, j=j, sigma_i=sigma[i - 1], sigma_j=sigma[j - 1], regime=regime, **zero
-                )
-    r = np.eye(p)
-    for (i, j), pc in table.items():
-        if i != j:
-            r[i - 1, j - 1] = r[j - 1, i - 1] = pc.r_entry
-    return CovarianceModel(hurst=hurst, pairs=table, r=r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +187,8 @@ class MixingMatrices:
         am = np.asarray(self.a_minus, dtype=float)
         if ap.shape != (p, p) or am.shape != (p, p):
             raise ValueError(f"mixing matrices must be {p}x{p}, got {ap.shape} and {am.shape}")
+        if not (np.all(np.isfinite(ap)) and np.all(np.isfinite(am))):
+            raise ValueError("mixing matrices must be finite")
         object.__setattr__(self, "a_plus", ap)
         object.__setattr__(self, "a_minus", am)
 
@@ -266,58 +220,27 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    symmetric: bool
     lambda_min: float
     lambda_max: float
     positive_definite: bool
-    regime_consistent: bool
-    regime_issues: tuple[str, ...]
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "symmetric": self.symmetric,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "positive_definite": self.positive_definite,
-            "regime_consistent": self.regime_consistent,
-            "regime_issues": list(self.regime_issues),
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def validate_model(m: CovarianceModel) -> ValidationReport:
-    """Check the necessary existence condition (R positive definite) and
-    regime consistency of every stored pair.
+    """Check the necessary existence condition: R positive definite.
 
     A pass means "no contradiction found", not "model realizable": the
     converse direction (admissible coefficients always come from some
     process) is not available, so this is a necessary-condition gate only.
     """
-    r = m.r
-    symmetric = bool(np.max(np.abs(r - r.T)) <= 1e-12 * max(1.0, float(np.max(np.abs(r)))))
-    eigs = np.linalg.eigvalsh(0.5 * (r + r.T))
+    eigs = np.linalg.eigvalsh(m.r)
     lambda_min = float(eigs[0])
     lambda_max = float(eigs[-1])
     pd_ok = lambda_min > -PD_TOL * max(1.0, lambda_max)
-
-    issues = []
-    for (i, j), pc in sorted(m.pairs.items()):
-        if i == j:
-            continue
-        expected = classify_pair(m.hurst[i - 1], m.hurst[j - 1])
-        if pc.regime is not expected:
-            issues.append(f"pair ({i},{j}) stored as {pc.regime.value} but exponents imply {expected.value}")
-    regime_ok = not issues
-    return ValidationReport(
-        symmetric=symmetric,
-        lambda_min=lambda_min,
-        lambda_max=lambda_max,
-        positive_definite=pd_ok,
-        regime_consistent=regime_ok,
-        regime_issues=tuple(issues),
-        passed=symmetric and pd_ok and regime_ok,
-    )
+    return ValidationReport(lambda_min=lambda_min, lambda_max=lambda_max, positive_definite=pd_ok, passed=pd_ok)
 
 
 def ensure_valid(m: CovarianceModel) -> CovarianceModel:
@@ -332,51 +255,74 @@ def ensure_valid(m: CovarianceModel) -> CovarianceModel:
 # JSON model files (1-based indices, matching user-facing notation)
 # ---------------------------------------------------------------------------
 
+def _floats(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A JSON value as a float array of exactly ``shape``; ValueError otherwise."""
+    arr = np.array(value)
+    if arr.dtype.kind not in "iuf" or arr.shape != shape:
+        raise ValueError(f"{name} must be numbers of shape {shape}, got {value!r}")
+    return arr.astype(float)
+
+
+def _index(entry: Mapping, key: str, p: int) -> int:
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= p:
+        raise ValueError(f"pair index {key} must be an integer in 1..{p}, got {value!r}")
+    return value
+
+
 def parse_model(obj: Mapping) -> CovarianceModel | MixingMatrices:
-    """Parse a model dict into whichever form the file carries."""
-    hurst = validate_hurst(obj["hurst"])
+    """Parse a model dict into whichever form the file carries.
+
+    A pair entry may come in either orientation: {"i": 2, "j": 1, ...} gives
+    (c_21, c_12) or (d_21, f_21) = (d_12, -f_12).  Malformed input raises
+    ValueError (or KeyError for a missing field).
+    """
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"a model must be a JSON object, got {obj!r}")
+    raw_hurst = obj["hurst"]
+    if not isinstance(raw_hurst, (list, tuple)):
+        raise ValueError(f"hurst must be a list of numbers, got {raw_hurst!r}")
+    hurst = validate_hurst(_floats(raw_hurst, "hurst", (len(raw_hurst),)).tolist())
+    p = hurst.p
     if "a_plus" in obj or "a_minus" in obj:
         return MixingMatrices(
-            a_plus=np.asarray(obj["a_plus"], dtype=float),
-            a_minus=np.asarray(obj.get("a_minus", np.zeros((hurst.p, hurst.p))), dtype=float),
+            a_plus=_floats(obj["a_plus"], "a_plus", (p, p)),
+            a_minus=_floats(obj["a_minus"], "a_minus", (p, p)) if "a_minus" in obj else np.zeros((p, p)),
             hurst=hurst,
         )
     coeffs = obj.get("coefficients", {})
-    sigma = [float(s) for s in coeffs.get("sigma", [1.0] * hurst.p)]
-    if len(sigma) != hurst.p:
-        raise ValueError(f"sigma has {len(sigma)} entries but p = {hurst.p}")
-    pairs = []
-    for i in range(1, hurst.p + 1):
-        pairs.append(
-            PairCoefficients(
-                i=i, j=i, sigma_i=sigma[i - 1], sigma_j=sigma[i - 1],
-                regime=PairRegime.GENERAL, c_ij=1.0, c_ji=1.0,
+    if not isinstance(coeffs, Mapping):
+        raise ValueError(f"coefficients must be a JSON object, got {coeffs!r}")
+    sigma = _floats(coeffs["sigma"], "sigma", (p,)) if "sigma" in coeffs else None
+    entries = coeffs.get("pairs", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"pairs must be a list, got {entries!r}")
+    critical = critical_pairs(hurst)
+    c = np.eye(p)
+    f = np.zeros((p, p))
+    seen = set()
+    for entry in entries:
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"a pair entry must be a JSON object, got {entry!r}")
+        i, j = _index(entry, "i", p) - 1, _index(entry, "j", p) - 1
+        if i == j:
+            raise ValueError(f"pair ({i + 1},{j + 1}) is on the diagonal")
+        if frozenset((i, j)) in seen:
+            raise ValueError(f"pair ({i + 1},{j + 1}) is given twice (in either orientation)")
+        seen.add(frozenset((i, j)))
+        keys, other = (_CRITICAL_KEYS, _GENERAL_KEYS) if critical[i, j] else (_GENERAL_KEYS, _CRITICAL_KEYS)
+        if any(k in entry for k in other) or any(k not in entry for k in keys):
+            raise ValueError(
+                f"pair ({i + 1},{j + 1}) has H_i+H_j {'=' if critical[i, j] else '!='} 1, "
+                f"so it needs exactly {keys}; got {sorted(entry)}"
             )
-        )
-    for entry in coeffs.get("pairs", []):
-        i, j = int(entry["i"]), int(entry["j"])
-        if i > j:
-            i, j = j, i
-        regime = classify_pair(hurst[i - 1], hurst[j - 1])
-        if "d_ij" in entry or "f_ij" in entry:
-            if regime is not PairRegime.CRITICAL:
-                raise ValueError(f"pair ({i},{j}) gives (d,f) but H_i+H_j != 1")
-            pairs.append(
-                PairCoefficients(
-                    i=i, j=j, sigma_i=sigma[i - 1], sigma_j=sigma[j - 1], regime=regime,
-                    d_ij=float(entry["d_ij"]), f_ij=float(entry.get("f_ij", 0.0)),
-                )
-            )
+        x, y = (_floats(entry[k], f"pair ({i + 1},{j + 1}) {k}", ()) for k in keys)
+        if critical[i, j]:
+            c[i, j] = c[j, i] = x
+            f[i, j], f[j, i] = y, -y
         else:
-            if regime is not PairRegime.GENERAL:
-                raise ValueError(f"pair ({i},{j}) gives (c_ij,c_ji) but H_i+H_j = 1")
-            pairs.append(
-                PairCoefficients(
-                    i=i, j=j, sigma_i=sigma[i - 1], sigma_j=sigma[j - 1], regime=regime,
-                    c_ij=float(entry["c_ij"]), c_ji=float(entry.get("c_ji", 0.0)),
-                )
-            )
-    return build_model(hurst, pairs)
+            c[i, j], c[j, i] = x, y
+    return CovarianceModel(hurst=hurst, sigma=sigma, c=c, f=f)
 
 
 def load_model(path: str | Path) -> CovarianceModel:
@@ -394,17 +340,15 @@ def load_model(path: str | Path) -> CovarianceModel:
 def model_to_dict(m: CovarianceModel) -> dict:
     """Canonical JSON-ready form of a CovarianceModel (deterministic key order)."""
     pairs = []
-    for (i, j) in sorted(m.pairs):
-        if i == j:
-            continue
-        pc = m.pairs[(i, j)]
-        if pc.regime is PairRegime.GENERAL:
-            pairs.append({"i": i, "j": j, "c_ij": pc.c_ij, "c_ji": pc.c_ji})
-        else:
-            pairs.append({"i": i, "j": j, "d_ij": pc.d_ij, "f_ij": pc.f_ij})
+    for i in range(m.p):
+        for j in range(i + 1, m.p):
+            if m.critical[i, j]:
+                pairs.append({"i": i + 1, "j": j + 1, "d_ij": float(m.c[i, j]), "f_ij": float(m.f[i, j])})
+            else:
+                pairs.append({"i": i + 1, "j": j + 1, "c_ij": float(m.c[i, j]), "c_ji": float(m.c[j, i])})
     return {
         "hurst": list(m.hurst.h),
-        "coefficients": {"sigma": list(m.sigma), "pairs": pairs},
+        "coefficients": {"sigma": m.sigma.tolist(), "pairs": pairs},
     }
 
 

@@ -7,7 +7,8 @@ products
     app = A+ A+*,  amm = A- A-*,  apm = A+ A-*,  amp = A- A+*
 
 enter the second-order law.  ``coeffs_from_mixing`` produces the full
-coefficient model (variances, (c_ij, c_ji) or (d_ij, f_ij) per pair);
+coefficient model (the scales sigma and the c and f arrays of
+``CovarianceModel``);
 ``assemble_via_kernels`` computes the same covariances directly as the
 alpha-weighted sum of elementary kernel covariances and serves as the
 independent oracle for that mapping.
@@ -37,15 +38,7 @@ from .errors import (
     SingularCosineError,
 )
 from .kernels import KernelKind, kernel_cov
-from .model import (
-    CovarianceModel,
-    HurstVector,
-    MixingMatrices,
-    PairCoefficients,
-    PairRegime,
-    build_model,
-    classify_pair,
-)
+from .model import CovarianceModel, HurstVector, MixingMatrices, critical_pairs
 from .special import beta, phi
 
 __all__ = [
@@ -89,9 +82,14 @@ def alpha_products(m: MixingMatrices) -> AlphaProducts:
     return AlphaProducts(app=ap @ ap.T, amm=am @ am.T, apm=ap @ am.T, amp=am @ ap.T)
 
 
-def _sigma_sq(h: float, app_ii: float, amm_ii: float, apm_ii: float) -> float:
+def _sigma(m: MixingMatrices, a: AlphaProducts, k: int) -> float:
+    """Standard deviation of X_{k+1}(1) from precomputed alpha products."""
+    h = m.hurst[k]
     sin_h = math.sin(math.pi * h)
-    return beta(h + 0.5, h + 0.5) / sin_h * (app_ii + amm_ii - 2.0 * sin_h * apm_ii)
+    var = beta(h + 0.5, h + 0.5) / sin_h * (a.app[k, k] + a.amm[k, k] - 2.0 * sin_h * a.apm[k, k])
+    if var <= _DEGENERATE_TOL:
+        raise DegenerateComponentError(k + 1, var)
+    return math.sqrt(var)
 
 
 def sigma_from_mixing(m: MixingMatrices, i: int) -> float:
@@ -100,73 +98,50 @@ def sigma_from_mixing(m: MixingMatrices, i: int) -> float:
     Raises DegenerateComponentError when the implied variance is not
     strictly positive.
     """
-    a = alpha_products(m)
-    k = i - 1
-    var = _sigma_sq(m.hurst[k], a.app[k, k], a.amm[k, k], a.apm[k, k])
-    if var <= _DEGENERATE_TOL:
-        raise DegenerateComponentError(i, var)
-    return math.sqrt(var)
+    return _sigma(m, alpha_products(m), i - 1)
 
 
 def coeffs_from_mixing(m: MixingMatrices) -> CovarianceModel:
     """Covariance coefficients of the process built from the mixing matrices.
 
-    General pairs get (c_ij, c_ji), the reverse coefficient coming from the
-    index-swapped formula (H_i <-> H_j, transposed alpha products); critical
-    pairs get (d_ij, f_ij).
+    General pairs get c[i, j] = c_ij and c[j, i] = c_ji, the reverse
+    coefficient coming from the index-swapped formula (H_i <-> H_j,
+    transposed alpha products); critical pairs get d_ij in both places and
+    f[i, j] = f_ij = -f[j, i].
     """
     p = m.p
     h = m.hurst
     a = alpha_products(m)
-    sigma = [sigma_from_mixing(m, i) for i in range(1, p + 1)]
-
-    pairs = []
-    for i in range(1, p + 1):
-        pairs.append(
-            PairCoefficients(
-                i=i, j=i, sigma_i=sigma[i - 1], sigma_j=sigma[i - 1],
-                regime=PairRegime.GENERAL, c_ij=1.0, c_ji=1.0,
-            )
-        )
-    for i in range(1, p + 1):
-        hi = h[i - 1]
+    sigma = [_sigma(m, a, k) for k in range(p)]
+    critical = critical_pairs(h)
+    c = np.eye(p)
+    f = np.zeros((p, p))
+    for i in range(p):
+        hi = h[i]
         ci = math.cos(math.pi * hi)
-        for j in range(i + 1, p + 1):
-            hj = h[j - 1]
+        for j in range(i + 1, p):
+            hj = h[j]
             cj = math.cos(math.pi * hj)
-            ss = sigma[i - 1] * sigma[j - 1]
-            regime = classify_pair(hi, hj)
-            if regime is PairRegime.GENERAL:
-                psi = phi(hi, hj)
-                sin_sum = math.sin(math.pi * (hi + hj))
-                c_ij = 2.0 * psi * (a.app[i - 1, j - 1] * ci + a.amm[i - 1, j - 1] * cj - a.apm[i - 1, j - 1] * sin_sum) / ss
-                c_ji = 2.0 * psi * (a.app[j - 1, i - 1] * cj + a.amm[j - 1, i - 1] * ci - a.apm[j - 1, i - 1] * sin_sum) / ss
-                pairs.append(
-                    PairCoefficients(
-                        i=i, j=j, sigma_i=sigma[i - 1], sigma_j=sigma[j - 1],
-                        regime=regime, c_ij=c_ij, c_ji=c_ji,
-                    )
-                )
-            else:
+            ss = sigma[i] * sigma[j]
+            if critical[i, j]:
                 b = beta(hi + 0.5, hj + 0.5)
-                d_ij = (
+                c[i, j] = c[j, i] = (
                     b
                     * (
-                        0.5 * (math.sin(math.pi * hi) + math.sin(math.pi * hj))
-                        * (a.app[i - 1, j - 1] + a.amm[i - 1, j - 1])
-                        - a.apm[i - 1, j - 1]
-                        - a.amp[i - 1, j - 1]
+                        0.5 * (math.sin(math.pi * hi) + math.sin(math.pi * hj)) * (a.app[i, j] + a.amm[i, j])
+                        - a.apm[i, j]
+                        - a.amp[i, j]
                     )
                     / ss
                 )
-                f_ij = (hj - hi) * (a.app[i - 1, j - 1] - a.amm[i - 1, j - 1]) / ss
-                pairs.append(
-                    PairCoefficients(
-                        i=i, j=j, sigma_i=sigma[i - 1], sigma_j=sigma[j - 1],
-                        regime=regime, d_ij=d_ij, f_ij=f_ij,
-                    )
-                )
-    return build_model(h, pairs)
+                f[i, j] = (hj - hi) * (a.app[i, j] - a.amm[i, j]) / ss
+                f[j, i] = -f[i, j]
+            else:
+                psi = phi(hi, hj)
+                sin_sum = math.sin(math.pi * (hi + hj))
+                c[i, j] = 2.0 * psi * (a.app[i, j] * ci + a.amm[i, j] * cj - a.apm[i, j] * sin_sum) / ss
+                c[j, i] = 2.0 * psi * (a.app[j, i] * cj + a.amm[j, i] * ci - a.apm[j, i] * sin_sum) / ss
+    return CovarianceModel(hurst=h, sigma=sigma, c=c, f=f)
 
 
 def tilde_c(m: MixingMatrices) -> TildeC:

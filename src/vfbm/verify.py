@@ -107,8 +107,7 @@ def suite_theorem1(seed: int, n_draws: int = 400) -> list[dict]:
             worst["stationary_increments"], abs(inc - base) / max(1.0, abs(base))
         )
 
-        pc = model.pair(i, j)
-        kappa2 = pc.sigma_i * pc.sigma_j * (pc.r_entry if i != j else 1.0)
+        kappa2 = model.sigma[i - 1] * model.sigma[j - 1] * model.r[i - 1, j - 1]
         sym_ref = 0.5 * kappa2 * (abs(s) ** h_sum + abs(t) ** h_sum - abs(s - t) ** h_sum)
         lhs = cov_pair(model, i, j, s, t) + cov_pair(model, j, i, s, t)
         worst["symmetrization"] = max(worst["symmetrization"], abs(lhs - 2.0 * sym_ref) / max(1.0, abs(lhs)))
@@ -156,11 +155,8 @@ def suite_tildec(seed: int, n_models: int = 20) -> list[dict]:
             for j in range(1, p + 1):
                 if i == j:
                     continue
-                lo, hi = min(i, j), max(i, j)
-                pc = model.pair(lo, hi)
-                c_ij = pc.c_ij if (i, j) == (lo, hi) else pc.c_ji
                 lhs = ct[i - 1, j - 1] * 2.0 * phi(model.hurst[i - 1], model.hurst[j - 1])
-                rhs = pc.sigma_i * pc.sigma_j * c_ij
+                rhs = model.sigma[i - 1] * model.sigma[j - 1] * model.c[i - 1, j - 1]
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return [_record("tildec/amplitude_identity", worst, 1e-10)]
 
@@ -237,7 +233,9 @@ def suite_mc(seed: int, n_reps: int = 20_000) -> list[dict]:
     )
     model = coeffs_from_mixing(m)
     grid = TimeGrid((0.5, 1.0, 2.0))
-    table = mc_integral_oracle(m, grid, McConfig(n_reps=n_reps, grid_step=0.1, trunc=120.0, seed=seed))
+    # step 0.05 as in acceptance criterion 7: at 0.1 the discretization deficit of
+    # about 2.7 SE failed the 4 SE allowance on some seeds
+    table = mc_integral_oracle(m, grid, McConfig(n_reps=n_reps, grid_step=0.05, trunc=120.0, seed=seed))
     analytic = np.empty_like(table.cov)
     for k, s in enumerate(grid.times):
         for i in range(1, 3):

@@ -33,7 +33,7 @@ def test_criterion_1_scalar_reduction():
     rng = np.random.default_rng(101)
     worst = 0.0
     for h in (0.1, 0.3, 0.5, 0.7, 0.9):
-        model = vfbm.build_model(validate_hurst([h]), [])
+        model = vfbm.CovarianceModel(validate_hurst([h]))
         sigma = 1.0
         for s, t in rng.uniform(-5, 5, size=(100, 2)):
             via_model = vfbm.cov_pair(model, 1, 1, s, t)
@@ -71,8 +71,7 @@ def test_criterion_2_theorem1_identity_suite():
         )
         worst["increments"] = max(worst["increments"], abs(inc - base) / max(1.0, abs(base)))
 
-        pc = model.pair(i, j)
-        kappa2 = pc.sigma_i * pc.sigma_j * (pc.r_entry if i != j else 1.0)
+        kappa2 = model.sigma[i - 1] * model.sigma[j - 1] * model.r[i - 1, j - 1]
         rhs = kappa2 * (abs(s) ** h_sum + abs(t) ** h_sum - abs(s - t) ** h_sum)
         lhs = vfbm.cov_pair(model, i, j, s, t) + vfbm.cov_pair(model, j, i, s, t)
         worst["symmetrization"] = max(worst["symmetrization"], abs(lhs - rhs) / max(1.0, abs(rhs)))
@@ -152,11 +151,8 @@ def test_criterion_5_tildec_identity():
             for j in range(1, p + 1):
                 if i == j:
                     continue
-                lo, hi = min(i, j), max(i, j)
-                pc = model.pair(lo, hi)
-                c_ij = pc.c_ij if (i, j) == (lo, hi) else pc.c_ji
                 lhs = ct[i - 1, j - 1] * 2.0 * vfbm.phi(model.hurst[i - 1], model.hurst[j - 1])
-                rhs = pc.sigma_i * pc.sigma_j * c_ij
+                rhs = model.sigma[i - 1] * model.sigma[j - 1] * model.c[i - 1, j - 1]
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     _report(5, worst <= 1e-10, f"50 models, worst amplitude-identity dev {worst:.2e}")
 
@@ -233,14 +229,7 @@ def test_criterion_8_cholesky_sampler():
 
 def test_criterion_9_positive_definiteness_gate():
     hv = validate_hurst([0.3, 0.6])
-    bad = vfbm.build_model(
-        hv,
-        [
-            vfbm.PairCoefficients(
-                i=1, j=2, sigma_i=1.0, sigma_j=1.0, regime=vfbm.PairRegime.GENERAL, c_ij=1.5, c_ji=1.0
-            )
-        ],
-    )
+    bad = vfbm.CovarianceModel(hv, c=[[1.0, 1.5], [1.0, 1.0]])
     bad_report = vfbm.validate_model(bad)
     rejected = not bad_report.passed and bad_report.lambda_min < 0.0
 

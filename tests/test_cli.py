@@ -128,10 +128,64 @@ def test_factorize_roundtrip_via_cli(tmp_path):
     assert np.allclose(rec["a_plus"], m0.a_plus, atol=1e-10)
 
 
-def test_usage_error_exit_code(tmp_path):
-    res = _run("validate", "--model", str(tmp_path / "missing.json"), cwd=tmp_path)
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _coeff_model(hurst=(0.3, 0.6), sigma=(1.0, 1.0), pairs=()):
+    return {"hurst": list(hurst), "coefficients": {"sigma": list(sigma), "pairs": list(pairs)}}
+
+
+def _mixing_model(a_plus=((1.0, 0.5), (0.0, 1.0)), a_minus=((0.0, 0.0), (0.0, 0.0))):
+    return {"hurst": [0.3, 0.6], "a_plus": [list(r) for r in a_plus], "a_minus": [list(r) for r in a_minus]}
+
+
+@pytest.mark.parametrize(
+    "model,error",
+    [
+        pytest.param(None, "FileNotFoundError", id="missing-file"),
+        pytest.param(_coeff_model(sigma=(_NAN, 1.0)), "ValueError", id="nan-sigma"),
+        pytest.param(_coeff_model(sigma=(1.0, _INF)), "ValueError", id="inf-sigma"),
+        pytest.param(_coeff_model(pairs=[{"i": 1, "j": 2, "c_ij": _NAN, "c_ji": 0.1}]), "ValueError", id="nan-c"),
+        pytest.param(
+            _coeff_model(hurst=(0.3, 0.7), pairs=[{"i": 1, "j": 2, "d_ij": 0.1, "f_ij": -_INF}]),
+            "ValueError",
+            id="inf-f",
+        ),
+        pytest.param(_mixing_model(a_plus=((_NAN, 0.5), (0.0, 1.0))), "ValueError", id="nan-a-plus"),
+        pytest.param(_mixing_model(a_minus=((0.0, 0.0), (_INF, 0.0))), "ValueError", id="inf-a-minus"),
+        pytest.param(_coeff_model(pairs=[{"i": 1, "j": 3, "c_ij": 0.1, "c_ji": 0.1}]), "ValueError", id="index-above-p"),
+        pytest.param(_coeff_model(pairs=[{"i": 0, "j": 2, "c_ij": 0.1, "c_ji": 0.1}]), "ValueError", id="index-zero"),
+        pytest.param(_coeff_model(pairs=[{"i": 2, "j": 2, "c_ij": 1.0, "c_ji": 1.0}]), "ValueError", id="diagonal-pair"),
+        pytest.param(
+            _coeff_model(pairs=[{"i": 1, "j": 2, "c_ij": 0.1, "c_ji": 0.1}, {"i": 1, "j": 2, "c_ij": 0.2, "c_ji": 0.2}]),
+            "ValueError",
+            id="duplicate-pair",
+        ),
+        pytest.param(
+            _coeff_model(pairs=[{"i": 1, "j": 2, "c_ij": 0.1, "c_ji": 0.1}, {"i": 2, "j": 1, "c_ij": 0.2, "c_ji": 0.2}]),
+            "ValueError",
+            id="duplicate-reversed-pair",
+        ),
+        pytest.param(_coeff_model(pairs=[{"i": 1, "j": 2, "c_ij": 0.1}]), "ValueError", id="missing-c-ji"),
+        pytest.param(
+            _coeff_model(hurst=(0.3, 0.7), pairs=[{"i": 1, "j": 2, "d_ij": 0.1}]), "ValueError", id="missing-f-ij"
+        ),
+        pytest.param({"hurst": 0.3}, "ValueError", id="scalar-hurst"),
+        pytest.param({"hurst": None}, "ValueError", id="null-hurst"),
+        pytest.param({"hurst": [0.3, 0.6], "coefficients": [1.0, 1.0]}, "ValueError", id="coefficients-not-object"),
+        pytest.param(
+            {"hurst": [0.3, 0.6], "coefficients": {"pairs": {"i": 1, "j": 2}}}, "ValueError", id="pairs-not-list"
+        ),
+    ],
+)
+def test_usage_error_exit_code(tmp_path, model, error):
+    path = tmp_path / "model.json"
+    if model is not None:
+        path.write_text(json.dumps(model))  # NaN and Infinity are written as JSON extensions
+    res = _run("validate", "--model", str(path), cwd=tmp_path)
     assert res.returncode == 2, res.stderr
-    assert json.loads(res.stderr.strip())["error"] == "FileNotFoundError"
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert json.loads(res.stderr)["error"] == error
 
 
 def test_verify_subcommand(tmp_path):

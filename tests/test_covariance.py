@@ -7,33 +7,31 @@ import pytest
 
 import vfbm
 from vfbm import (
-    PairCoefficients,
-    PairRegime,
+    CovarianceModel,
     TimeGrid,
-    cov_cross_critical,
-    cov_cross_general,
     cov_matrix,
     cov_pair,
     cov_same,
     sign_coeff,
     validate_hurst,
 )
-from vfbm.errors import IndexOutOfRangeError, RegimeMismatchError
+from vfbm.errors import IndexOutOfRangeError
 from vfbm.verify import random_mixing
 
 # frozen 40-digit reference: 2*(1.5^1.4 + 0.5^1.4 - 2^1.4)/... for sigma=2
 COV_SAME_07_2 = -0.99193629226235727857
 
 
-def _general_pair(c_ij, c_ji, sigma_i=1.0, sigma_j=1.0):
-    return PairCoefficients(
-        i=1, j=2, sigma_i=sigma_i, sigma_j=sigma_j, regime=PairRegime.GENERAL, c_ij=c_ij, c_ji=c_ji
-    )
+def _general_model(c_ij, c_ji, sigma_i=1.0, sigma_j=1.0, hurst=(0.3, 0.6)):
+    return CovarianceModel(validate_hurst(list(hurst)), sigma=[sigma_i, sigma_j], c=[[1.0, c_ij], [c_ji, 1.0]])
 
 
-def _critical_pair(d_ij, f_ij, sigma_i=1.0, sigma_j=1.0):
-    return PairCoefficients(
-        i=1, j=2, sigma_i=sigma_i, sigma_j=sigma_j, regime=PairRegime.CRITICAL, d_ij=d_ij, f_ij=f_ij
+def _critical_model(d_ij, f_ij, sigma_i=1.0, sigma_j=1.0, hurst=(0.3, 0.7)):
+    return CovarianceModel(
+        validate_hurst(list(hurst)),
+        sigma=[sigma_i, sigma_j],
+        c=[[1.0, d_ij], [d_ij, 1.0]],
+        f=[[0.0, f_ij], [-f_ij, 0.0]],
     )
 
 
@@ -53,38 +51,31 @@ def test_sign_coeff():
 
 
 def test_cross_general_zero_at_origin():
-    pc = _general_pair(0.7, -0.3)
+    model = _general_model(0.7, -0.3)
     for t in (-2.3, 0.4, 1.0):
-        assert cov_cross_general(pc, 0.3, 0.6, 0.0, t) == 0.0
-        assert cov_cross_general(pc, 0.3, 0.6, t, 0.0) == 0.0
+        assert cov_pair(model, 1, 2, 0.0, t) == 0.0
+        assert cov_pair(model, 1, 2, t, 0.0) == 0.0
 
 
 def test_cross_general_symmetric_coefficients_reduce_to_scalar_form():
     # c_ij = c_ji = 1 with unit scales collapses to the one-component formula
-    pc = _general_pair(1.0, 1.0)
+    model = _general_model(1.0, 1.0)
     rng = np.random.default_rng(5)
     for s, t in rng.uniform(-3, 3, size=(20, 2)):
-        lhs = cov_cross_general(pc, 0.3, 0.6, s, t)
+        lhs = cov_pair(model, 1, 2, s, t)
         rhs = cov_same((0.3 + 0.6) / 2.0, 1.0, s, t)
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
-def test_cross_regime_mismatch_raises():
-    with pytest.raises(RegimeMismatchError):
-        cov_cross_general(_critical_pair(0.1, 0.0), 0.3, 0.7, 1.0, 2.0)
-    with pytest.raises(RegimeMismatchError):
-        cov_cross_critical(_general_pair(0.1, 0.2), 1.0, 2.0)
-
-
 def test_cross_critical_special_values():
-    pc = _critical_pair(0.4, 0.2, sigma_i=1.5, sigma_j=2.0)
+    model = _critical_model(0.4, 0.2, sigma_i=1.5, sigma_j=2.0)
     # log terms cancel at s = t
-    assert cov_cross_critical(pc, 1.0, 1.0) == pytest.approx(1.5 * 2.0 * 0.4, rel=1e-14)
-    assert cov_cross_critical(pc, 0.0, 3.7) == 0.0
+    assert cov_pair(model, 1, 2, 1.0, 1.0) == pytest.approx(1.5 * 2.0 * 0.4, rel=1e-14)
+    assert cov_pair(model, 1, 2, 0.0, 3.7) == 0.0
 
 
 def test_cov_pair_dispatch_and_bounds():
-    model = vfbm.build_model(validate_hurst([0.3, 0.6]), [_general_pair(0.4, -0.2)])
+    model = _general_model(0.4, -0.2)
     assert cov_pair(model, 1, 1, 1.2, 0.7) == pytest.approx(cov_same(0.3, 1.0, 1.2, 0.7), rel=1e-15)
     with pytest.raises(IndexOutOfRangeError):
         cov_pair(model, 0, 1, 1.0, 1.0)
@@ -108,16 +99,10 @@ def test_cov_pair_exchange_rule_matches_transpose():
     # storing the swapped orientation explicitly (c_ij <-> c_ji, f -> -f)
     # reproduces the transpose-based evaluation
     rng = np.random.default_rng(9)
-    hv = validate_hurst([0.3, 0.6])
-    pc = _general_pair(0.5, -0.1)
-    model = vfbm.build_model(hv, [pc])
-    swapped = vfbm.build_model(
-        validate_hurst([0.6, 0.3]),
-        [_general_pair(-0.1, 0.5)],
-    )
-    hv_c = validate_hurst([0.3, 0.7])
-    crit = vfbm.build_model(hv_c, [_critical_pair(0.3, 0.12)])
-    crit_swapped = vfbm.build_model(validate_hurst([0.7, 0.3]), [_critical_pair(0.3, -0.12)])
+    model = _general_model(0.5, -0.1)
+    swapped = _general_model(-0.1, 0.5, hurst=(0.6, 0.3))
+    crit = _critical_model(0.3, 0.12)
+    crit_swapped = _critical_model(0.3, -0.12, hurst=(0.7, 0.3))
     for s, t in rng.uniform(-2, 2, size=(25, 2)):
         assert cov_pair(model, 2, 1, s, t) == pytest.approx(
             cov_pair(swapped, 1, 2, s, t), rel=1e-13, abs=1e-14
@@ -133,9 +118,8 @@ def test_symmetrized_sum_identity():
     for k in range(30):
         m = random_mixing(rng, 2, critical_pair=(k % 2 == 0), a_minus_scale=float(rng.uniform(0, 1.5)))
         model = vfbm.coeffs_from_mixing(m)
-        pc = model.pair(1, 2)
         h_sum = model.hurst[0] + model.hurst[1]
-        kappa2 = pc.sigma_i * pc.sigma_j * pc.r_entry
+        kappa2 = model.sigma[0] * model.sigma[1] * model.r[0, 1]
         for u, v in rng.uniform(-3, 3, size=(5, 2)):
             lhs = cov_pair(model, 1, 2, u, v) + cov_pair(model, 1, 2, v, u)
             rhs = kappa2 * (abs(u) ** h_sum + abs(v) ** h_sum - abs(u - v) ** h_sum)
@@ -167,13 +151,13 @@ def test_zero_boundary_exact():
 
 
 def test_cov_matrix_brownian_grid():
-    model = vfbm.build_model(validate_hurst([0.5]), [])
+    model = CovarianceModel(validate_hurst([0.5]))
     cov = cov_matrix(model, TimeGrid((1.0, 2.0, 3.0)))
     assert np.allclose(cov.entries, [[1, 1, 1], [1, 2, 2], [1, 2, 3]], atol=1e-15)
 
 
 def test_cov_matrix_zero_time_row():
-    model = vfbm.build_model(validate_hurst([0.3, 0.6]), [_general_pair(0.3, 0.1)])
+    model = _general_model(0.3, 0.1)
     cov = cov_matrix(model, TimeGrid((0.0, 1.0)))
     assert np.all(cov.entries[:2, :] == 0.0)  # rows of t = 0
     assert np.all(cov.entries[:, :2] == 0.0)
@@ -207,7 +191,7 @@ def test_cov_matrix_entry_order():
 
 
 def test_cov_csv_roundtrip(tmp_path):
-    model = vfbm.build_model(validate_hurst([0.3, 0.6]), [_general_pair(0.3, 0.1)])
+    model = _general_model(0.3, 0.1)
     grid = TimeGrid((0.5, 1.0))
     cov = cov_matrix(model, grid)
     path = tmp_path / "cov.csv"

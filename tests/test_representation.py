@@ -74,9 +74,8 @@ def test_sigma_degenerate_component():
 
 def test_identity_mixing_gives_independent_components():
     model = coeffs_from_mixing(_mixing([0.3, 0.6], np.eye(2)))
-    pc = model.pair(1, 2)
-    assert pc.c_ij == pytest.approx(0.0, abs=1e-15)
-    assert pc.c_ji == pytest.approx(0.0, abs=1e-15)
+    assert model.c[0, 1] == pytest.approx(0.0, abs=1e-15)
+    assert model.c[1, 0] == pytest.approx(0.0, abs=1e-15)
     assert np.array_equal(model.r, np.eye(2))
 
 
@@ -85,9 +84,8 @@ def test_critical_log_weight_direct_substitution():
     # (H_j - H_i) alpha++_12 / (sigma_1 sigma_2) with alpha++_12 = 0.5
     m = _mixing([0.3, 0.7], [[1.0, 0.5], [0.0, 1.0]])
     model = coeffs_from_mixing(m)
-    pc = model.pair(1, 2)
     s1, s2 = sigma_from_mixing(m, 1), sigma_from_mixing(m, 2)
-    assert pc.f_ij == pytest.approx(0.4 * 0.5 / (s1 * s2), rel=1e-13)
+    assert model.f[0, 1] == pytest.approx(0.4 * 0.5 / (s1 * s2), rel=1e-13)
 
 
 def test_coeffs_match_kernel_assembly_general_and_critical():
@@ -126,11 +124,9 @@ def test_tilde_c_amplitude_identity():
             for j in range(1, p + 1):
                 if i == j:
                     continue
-                lo, hi = min(i, j), max(i, j)
-                pc = model.pair(lo, hi)
-                c_ij = pc.c_ij if (i, j) == (lo, hi) else pc.c_ji
                 lhs = ct[i - 1, j - 1] * 2.0 * vfbm.phi(model.hurst[i - 1], model.hurst[j - 1])
-                assert lhs == pytest.approx(pc.sigma_i * pc.sigma_j * c_ij, rel=1e-10, abs=1e-10)
+                rhs = model.sigma[i - 1] * model.sigma[j - 1] * model.c[i - 1, j - 1]
+                assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
 def test_causal_factorize_identity_case():

@@ -6,7 +6,7 @@ import pytest
 import vfbm
 from vfbm import McConfig, TimeGrid, cholesky_psd, empirical_cov, mc_integral_oracle, sample_paths, validate_hurst
 from vfbm.errors import ConfigError, NotPsdError
-from vfbm.verify import random_mixing
+from vfbm.verify import random_mixing, suite_mc
 
 
 def _standard_model():
@@ -23,14 +23,14 @@ def test_cholesky_identity():
 
 
 def test_cholesky_brownian_grid():
-    model = vfbm.build_model(validate_hurst([0.5]), [])
+    model = vfbm.CovarianceModel(validate_hurst([0.5]))
     cov = vfbm.cov_matrix(model, TimeGrid((1.0, 2.0, 3.0)))
     low = cholesky_psd(cov)
     assert np.allclose(low, [[1, 0, 0], [1, 1, 0], [1, 1, 1]], atol=1e-14)
 
 
 def test_cholesky_semidefinite_zero_row():
-    model = vfbm.build_model(validate_hurst([0.5]), [])
+    model = vfbm.CovarianceModel(validate_hurst([0.5]))
     cov = vfbm.cov_matrix(model, TimeGrid((0.0, 1.0, 2.0)))
     low = cholesky_psd(cov)
     assert np.all(low[0] == 0.0)
@@ -184,3 +184,9 @@ def test_mc_oracle_matches_analytic_small_run():
     )
     allowance = np.maximum(4.0 * table.se, 0.02 * float(np.max(np.abs(analytic))))
     assert np.all(np.abs(table.cov - analytic) <= allowance)
+
+
+def test_verify_mc_suite_passes_at_seed_1741841811():
+    # at grid step 0.1 the discretization bias scored 1.128 here, above the 1.0 tolerance
+    (record,) = suite_mc(1741841811)
+    assert record["pass"], record
