@@ -5,10 +5,6 @@ component indices in all user-facing I/O.  Outputs are written atomically
 (temp file + rename).  Exit status: 0 success, 1 validation failure,
 2 usage or I/O error.  Every failure prints one machine-parseable JSON line
 on stderr.
-
-The environment variable VFBM_THREADS caps the BLAS thread pools; it is
-applied before numpy is imported, so it must be set in the environment of
-the process (the default is the hardware concurrency).
 """
 
 from __future__ import annotations
@@ -21,20 +17,13 @@ import tempfile
 from pathlib import Path
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("VFBM_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
-def _atomic_write(path: str | Path, text: str) -> None:
+def _atomic_write(path: str | Path, write) -> None:
+    """Run write(tmp) on a temporary file beside path, then rename it to path."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,7 +34,7 @@ def _atomic_write(path: str | Path, text: str) -> None:
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out:
-        _atomic_write(out, text)
+        _atomic_write(out, lambda tmp: Path(tmp).write_text(text, encoding="utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -70,13 +59,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    from .model import model_to_dict, parse_model
+    from .model import MixingMatrices, model_to_dict, parse_model
     from .representation import coeffs_from_mixing
 
     with open(args.mixing, "r", encoding="utf-8") as fh:
         parsed = parse_model(json.load(fh))
-    from .model import MixingMatrices
-
     if not isinstance(parsed, MixingMatrices):
         return _fail("Usage", "coeffs expects a mixing-matrix model file (a_plus/a_minus)", 2)
     _emit(model_to_dict(coeffs_from_mixing(parsed)), args.out)
@@ -89,16 +76,7 @@ def _cmd_cov(args) -> int:
 
     model = ensure_valid(load_model(args.model))
     cov = cov_matrix(model, _parse_grid(args.grid))
-    out = Path(args.out)
-    fd, tmp = tempfile.mkstemp(dir=out.parent or Path("."), prefix=f".{out.name}.", suffix=".tmp")
-    os.close(fd)
-    try:
-        write_cov_csv(cov, tmp)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(args.out, lambda tmp: write_cov_csv(cov, tmp))
     sys.stdout.write(json.dumps({"lambda_min": cov.lambda_min, "dim": cov.dim, "out": args.out}) + "\n")
     return 0
 
@@ -127,12 +105,15 @@ def _cmd_simulate(args) -> int:
     model = ensure_valid(load_model(args.model))
     grid = _parse_grid(args.grid)
     ens = sample_paths(model, grid, args.n, args.seed)
-    lines = ["rep,time,component,value"]
-    for r in range(ens.n_paths):
-        for k, t in enumerate(grid.times):
-            for c in range(1, model.p + 1):
-                lines.append(f"{r},{t:.17g},{c},{ens.paths[r, k, c - 1]:.17g}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+
+    def write_csv(tmp):  # one write per path, so the whole table is never held as text
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("rep,time,component,value\n")
+            for r, path in enumerate(ens.paths):
+                values = zip(grid.times, path.tolist())
+                fh.write("".join(f"{r},{t:.17g},{c},{x:.17g}\n" for t, row in values for c, x in enumerate(row, 1)))
+
+    _atomic_write(args.out, write_csv)
     sys.stdout.write(
         json.dumps({"n": ens.n_paths, "seed": ens.seed, "model_hash": ens.model_hash, "out": args.out}) + "\n"
     )
@@ -190,7 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     from .errors import VfbmError
 

@@ -160,15 +160,21 @@ def causal_factorize(c_tilde: TildeC, h: HurstVector) -> MixingMatrices:
     triangular; any rotation of it is equally valid, so tests should compare
     C~, never A+ entries).
 
-    Raises SingularCosineError when some H_i = 1/2 makes cos(H pi) singular,
-    and InfeasibleFactorizationError("NotSymmetric" | "NotPD") when M fails
-    the feasibility conditions.
+    Raises ValueError when C~ is not a finite p x p matrix,
+    SingularCosineError when some H_i = 1/2 makes cos(H pi) singular, and
+    InfeasibleFactorizationError("NotSymmetric" | "NotPD") when M fails the
+    feasibility conditions.
     """
+    ct = np.asarray(c_tilde.c_tilde, dtype=float)
+    if ct.shape != (h.p, h.p):
+        raise ValueError(f"amplitude matrix has shape {ct.shape}, expected ({h.p}, {h.p})")
+    if not np.all(np.isfinite(ct)):
+        raise ValueError("amplitude matrix has NaN or infinite entries")
     cos_vals = np.cos(np.pi * np.asarray(h.h))
     for idx, c in enumerate(cos_vals, start=1):
         if abs(c) < 1e-12:
             raise SingularCosineError(idx)
-    m = c_tilde.c_tilde / cos_vals[:, None]
+    m = ct / cos_vals[:, None]
     norm = float(np.max(np.abs(m)))
     if norm == 0.0:
         raise InfeasibleFactorizationError("NotPD", "amplitude matrix is zero")

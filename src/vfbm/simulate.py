@@ -49,6 +49,17 @@ _PIVOT_TOL = 1e-10
 _ZERO_TOL = 1e-12
 
 
+def check_seed(seed: int) -> int:
+    """The seed as an int; ValueError unless it is an integer in [0, 2**64).
+
+    The seed fills the upper 64 bits of each replication's 128-bit Philox
+    key, so this is the range every seeded routine of the package accepts.
+    """
+    if isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64:
+        return int(seed)
+    raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     """Counter-based stream for one replication, derived from (seed, rep)."""
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(rep)))
@@ -78,6 +89,7 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.n_reps < 100:
             raise ConfigError(f"n_reps must be >= 100, got {self.n_reps}")
         if not self.grid_step > 0.0:
@@ -142,6 +154,7 @@ def sample_paths(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -> P
     The joint normal has covariance cov_matrix(model, grid); draws are
     reproducible per (model, grid, n, seed).
     """
+    seed = check_seed(seed)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     c = cov_matrix(model, grid)
@@ -155,7 +168,7 @@ def sample_paths(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -> P
         json.dumps(model_to_dict(model), sort_keys=True).encode("utf-8")
     ).hexdigest()
     return PathEnsemble(
-        paths=flat.reshape(n, grid.n, model.p), grid=grid, seed=int(seed), model_hash=digest
+        paths=flat.reshape(n, grid.n, model.p), grid=grid, seed=seed, model_hash=digest
     )
 
 

@@ -139,53 +139,57 @@ def _mixing_model(a_plus=((1.0, 0.5), (0.0, 1.0)), a_minus=((0.0, 0.0), (0.0, 0.
     return {"hurst": [0.3, 0.6], "a_plus": [list(r) for r in a_plus], "a_minus": [list(r) for r in a_minus]}
 
 
+# Each usage-error case runs the CLI in a directory where ``in.json`` holds the
+# case's content (no file when the content is None).
+_VALIDATE = ("validate", "--model", "in.json")
+_FACTORIZE = ("factorize", "--c-tilde", "in.json")
+_SIMULATE_SEED = ("simulate", "--model", "in.json", "--grid", "0.5,1", "--n", "2", "--out", "paths.csv", "--seed")
+
+
+def _case(content, id, error="ValueError", argv=_VALIDATE, match=""):
+    return pytest.param(argv, content, error, match, id=id)
+
+
+_C12 = {"i": 1, "j": 2, "c_ij": 0.1, "c_ji": 0.1}
+
+
 @pytest.mark.parametrize(
-    "model,error",
+    "argv,content,error,match",
     [
-        pytest.param(None, "FileNotFoundError", id="missing-file"),
-        pytest.param(_coeff_model(sigma=(_NAN, 1.0)), "ValueError", id="nan-sigma"),
-        pytest.param(_coeff_model(sigma=(1.0, _INF)), "ValueError", id="inf-sigma"),
-        pytest.param(_coeff_model(pairs=[{"i": 1, "j": 2, "c_ij": _NAN, "c_ji": 0.1}]), "ValueError", id="nan-c"),
-        pytest.param(
-            _coeff_model(hurst=(0.3, 0.7), pairs=[{"i": 1, "j": 2, "d_ij": 0.1, "f_ij": -_INF}]),
-            "ValueError",
-            id="inf-f",
-        ),
-        pytest.param(_mixing_model(a_plus=((_NAN, 0.5), (0.0, 1.0))), "ValueError", id="nan-a-plus"),
-        pytest.param(_mixing_model(a_minus=((0.0, 0.0), (_INF, 0.0))), "ValueError", id="inf-a-minus"),
-        pytest.param(_coeff_model(pairs=[{"i": 1, "j": 3, "c_ij": 0.1, "c_ji": 0.1}]), "ValueError", id="index-above-p"),
-        pytest.param(_coeff_model(pairs=[{"i": 0, "j": 2, "c_ij": 0.1, "c_ji": 0.1}]), "ValueError", id="index-zero"),
-        pytest.param(_coeff_model(pairs=[{"i": 2, "j": 2, "c_ij": 1.0, "c_ji": 1.0}]), "ValueError", id="diagonal-pair"),
-        pytest.param(
-            _coeff_model(pairs=[{"i": 1, "j": 2, "c_ij": 0.1, "c_ji": 0.1}, {"i": 1, "j": 2, "c_ij": 0.2, "c_ji": 0.2}]),
-            "ValueError",
-            id="duplicate-pair",
-        ),
-        pytest.param(
-            _coeff_model(pairs=[{"i": 1, "j": 2, "c_ij": 0.1, "c_ji": 0.1}, {"i": 2, "j": 1, "c_ij": 0.2, "c_ji": 0.2}]),
-            "ValueError",
-            id="duplicate-reversed-pair",
-        ),
-        pytest.param(_coeff_model(pairs=[{"i": 1, "j": 2, "c_ij": 0.1}]), "ValueError", id="missing-c-ji"),
-        pytest.param(
-            _coeff_model(hurst=(0.3, 0.7), pairs=[{"i": 1, "j": 2, "d_ij": 0.1}]), "ValueError", id="missing-f-ij"
-        ),
-        pytest.param({"hurst": 0.3}, "ValueError", id="scalar-hurst"),
-        pytest.param({"hurst": None}, "ValueError", id="null-hurst"),
-        pytest.param({"hurst": [0.3, 0.6], "coefficients": [1.0, 1.0]}, "ValueError", id="coefficients-not-object"),
-        pytest.param(
-            {"hurst": [0.3, 0.6], "coefficients": {"pairs": {"i": 1, "j": 2}}}, "ValueError", id="pairs-not-list"
-        ),
+        _case(None, "missing-file", error="FileNotFoundError"),
+        _case(_coeff_model(sigma=(_NAN, 1.0)), "nan-sigma"),
+        _case(_coeff_model(sigma=(1.0, _INF)), "inf-sigma"),
+        _case(_coeff_model(pairs=[{"i": 1, "j": 2, "c_ij": _NAN, "c_ji": 0.1}]), "nan-c"),
+        _case(_coeff_model(hurst=(0.3, 0.7), pairs=[{"i": 1, "j": 2, "d_ij": 0.1, "f_ij": -_INF}]), "inf-f"),
+        _case(_mixing_model(a_plus=((_NAN, 0.5), (0.0, 1.0))), "nan-a-plus"),
+        _case(_mixing_model(a_minus=((0.0, 0.0), (_INF, 0.0))), "inf-a-minus"),
+        _case(_coeff_model(pairs=[{"i": 1, "j": 3, "c_ij": 0.1, "c_ji": 0.1}]), "index-above-p"),
+        _case(_coeff_model(pairs=[{"i": 0, "j": 2, "c_ij": 0.1, "c_ji": 0.1}]), "index-zero"),
+        _case(_coeff_model(pairs=[{"i": 2, "j": 2, "c_ij": 1.0, "c_ji": 1.0}]), "diagonal-pair"),
+        _case(_coeff_model(pairs=[_C12, {"i": 1, "j": 2, "c_ij": 0.2, "c_ji": 0.2}]), "duplicate-pair"),
+        _case(_coeff_model(pairs=[_C12, {"i": 2, "j": 1, "c_ij": 0.2, "c_ji": 0.2}]), "duplicate-reversed-pair"),
+        _case(_coeff_model(pairs=[{"i": 1, "j": 2, "c_ij": 0.1}]), "missing-c-ji"),
+        _case(_coeff_model(hurst=(0.3, 0.7), pairs=[{"i": 1, "j": 2, "d_ij": 0.1}]), "missing-f-ij"),
+        _case({"hurst": 0.3}, "scalar-hurst"),
+        _case({"hurst": None}, "null-hurst"),
+        _case({"hurst": [0.3, 0.6], "coefficients": [1.0, 1.0]}, "coefficients-not-object"),
+        _case({"hurst": [0.3, 0.6], "coefficients": {"pairs": {"i": 1, "j": 2}}}, "pairs-not-list"),
+        _case({"hurst": [0.3, 0.6], "c_tilde": [[_NAN, 0.0], [0.0, 1.0]]}, "nan-c-tilde", argv=_FACTORIZE, match="amplitude"),
+        _case({"hurst": [0.3, 0.6], "c_tilde": [[1.0, 0.2]]}, "c-tilde-wrong-shape", argv=_FACTORIZE, match="amplitude"),
+        _case(_mixing_model(), "simulate-seed-negative", argv=(*_SIMULATE_SEED, "-1"), match="seed"),
+        _case(_mixing_model(), "simulate-seed-2-64", argv=(*_SIMULATE_SEED, str(2**64)), match="seed"),
+        _case(None, "verify-seed-negative", argv=("verify", "--seed", "-3"), match="seed"),
     ],
 )
-def test_usage_error_exit_code(tmp_path, model, error):
-    path = tmp_path / "model.json"
-    if model is not None:
-        path.write_text(json.dumps(model))  # NaN and Infinity are written as JSON extensions
-    res = _run("validate", "--model", str(path), cwd=tmp_path)
+def test_usage_error_exit_code(tmp_path, argv, content, error, match):
+    if content is not None:
+        (tmp_path / "in.json").write_text(json.dumps(content))  # NaN and Infinity are written as JSON extensions
+    res = _run(*argv, cwd=tmp_path)
     assert res.returncode == 2, res.stderr
     assert len(res.stderr.splitlines()) == 1, res.stderr
-    assert json.loads(res.stderr)["error"] == error
+    err = json.loads(res.stderr)
+    assert err["error"] == error
+    assert match in err["message"], err["message"]
 
 
 def test_verify_subcommand(tmp_path):
