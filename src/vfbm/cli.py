@@ -84,15 +84,16 @@ def _cmd_cov(args) -> int:
 def _cmd_factorize(args) -> int:
     import numpy as np
 
-    from .model import mixing_to_dict, validate_hurst
+    from .model import mixing_to_dict, parse_hurst, validate_hurst
     from .representation import TildeC, causal_factorize
 
     with open(args.c_tilde, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     matrix = np.asarray(obj["c_tilde"] if isinstance(obj, dict) else obj, dtype=float)
-    hurst = validate_hurst(
-        [float(v) for v in args.hurst.split(",")] if args.hurst else obj["hurst"]
-    )
+    if args.hurst:
+        hurst = validate_hurst([float(v) for v in args.hurst.split(",")])
+    else:
+        hurst = parse_hurst(obj.get("hurst") if isinstance(obj, dict) else None)
     mixing = causal_factorize(TildeC(c_tilde=matrix), hurst)
     _emit(mixing_to_dict(mixing), args.out)
     return 0

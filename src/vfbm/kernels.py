@@ -90,18 +90,20 @@ def kernel_cov(kind: KernelKind, h_i: float, h_j: float, s, t):
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
+    if kind in (KernelKind.MM, KernelKind.MP):  # x -> -x maps I-(s) onto I+(-s)
+        kind = KernelKind.PP if kind is KernelKind.MM else KernelKind.PM
+        s, t = -s, -t
     alpha = h_i + h_j
     bval = beta(h_i + 0.5, h_j + 0.5)
 
     if abs(alpha - 1.0) <= CRITICAL_TOL:
         spread = np.abs(s) + np.abs(t) - np.abs(s - t)
-        if kind in (KernelKind.PM, KernelKind.MP):
+        if kind is KernelKind.PM:
             return _maybe_scalar(-0.5 * bval * spread)
         logpart = _xlogx(s) - _xlogx(t) - _xlogx(s - t)
-        sign = -1.0 if kind is KernelKind.PP else 1.0
         return _maybe_scalar(
             (bval / math.pi)
-            * (0.5 * math.pi * math.sin(math.pi * h_i) * spread + sign * math.cos(math.pi * h_i) * logpart)
+            * (0.5 * math.pi * math.sin(math.pi * h_i) * spread - math.cos(math.pi * h_i) * logpart)
         )
 
     if kind is KernelKind.PP:
@@ -114,19 +116,7 @@ def kernel_cov(kind: KernelKind, h_i: float, h_j: float, s, t):
                 - b_coeff(h_i, h_j, s - t) * np.abs(s - t) ** alpha
             )
         )
-    if kind is KernelKind.MM:
-        psi = phi(h_i, h_j)
-        return _maybe_scalar(
-            psi
-            * (
-                b_coeff(h_j, h_i, s) * np.abs(s) ** alpha
-                + b_coeff(h_i, h_j, t) * np.abs(t) ** alpha
-                - b_coeff(h_j, h_i, s - t) * np.abs(s - t) ** alpha
-            )
-        )
-    if kind is KernelKind.PM:
-        return _maybe_scalar(bval * (_pow_plus(s - t, alpha) - _pow_plus(s, alpha) - _pow_plus(-t, alpha)))
-    return _maybe_scalar(bval * (_pow_plus(t - s, alpha) - _pow_plus(t, alpha) - _pow_plus(-s, alpha)))
+    return _maybe_scalar(bval * (_pow_plus(s - t, alpha) - _pow_plus(s, alpha) - _pow_plus(-t, alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,37 +131,27 @@ def kernel_factor(side: str, h: float, time_point: float, x):
     cancellation; non-finite inputs map to 0 (the kernel decays there).
     """
     x = np.asarray(x, dtype=float)
+    tp = float(time_point)
+    if side == "-":  # x -> -x maps I-(t) onto I+(-t)
+        x, tp = -x, -tp
+    elif side != "+":
+        raise ValueError(f"side must be '+' or '-', got {side!r}")
     a = h - 0.5
     out = np.zeros_like(x)
-    tp = float(time_point)
     if tp == 0.0:
         return out
     fill = max(1.0, 2.0 * abs(tp))  # masked-lane placeholder clear of log1p(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        if side == "+":
-            both = x < min(tp, 0.0)
-            y = np.where(both, -x, fill)
-            vals = y**a * np.expm1(a * np.log1p(tp / y))
-            out = np.where(both, vals, out)
-            if tp > 0.0:
-                single = (x >= 0.0) & (x < tp)
-                out = np.where(single, np.where(single, tp - x, 1.0) ** a, out)
-            else:
-                single = (x >= tp) & (x < 0.0)
-                out = np.where(single, -(np.where(single, -x, 1.0) ** a), out)
-        elif side == "-":
-            both = x > max(tp, 0.0)
-            y = np.where(both, x, fill)
-            vals = y**a * np.expm1(a * np.log1p(-tp / y))
-            out = np.where(both, vals, out)
-            if tp > 0.0:
-                single = (x > 0.0) & (x <= tp)
-                out = np.where(single, -(np.where(single, x, 1.0) ** a), out)
-            else:
-                single = (x > tp) & (x <= 0.0)
-                out = np.where(single, np.where(single, x - tp, 1.0) ** a, out)
+        both = x < min(tp, 0.0)
+        y = np.where(both, -x, fill)
+        vals = y**a * np.expm1(a * np.log1p(tp / y))
+        out = np.where(both, vals, out)
+        if tp > 0.0:
+            single = (x >= 0.0) & (x < tp)
+            out = np.where(single, np.where(single, tp - x, 1.0) ** a, out)
         else:
-            raise ValueError(f"side must be '+' or '-', got {side!r}")
+            single = (x >= tp) & (x < 0.0)
+            out = np.where(single, -(np.where(single, -x, 1.0) ** a), out)
     return np.where(np.isfinite(out), out, 0.0)
 
 

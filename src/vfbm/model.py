@@ -45,6 +45,7 @@ __all__ = [
     "validate_model",
     "ensure_valid",
     "load_model",
+    "parse_hurst",
     "parse_model",
     "model_to_dict",
     "mixing_to_dict",
@@ -263,6 +264,14 @@ def _floats(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return arr.astype(float)
 
 
+def parse_hurst(raw) -> HurstVector:
+    """The ``hurst`` field of a JSON file, validated; ValueError unless it is a
+    list of numbers (a missing field arrives as None)."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"hurst must be a list of numbers, got {raw!r}")
+    return validate_hurst(_floats(raw, "hurst", (len(raw),)).tolist())
+
+
 def _index(entry: Mapping, key: str, p: int) -> int:
     value = entry[key]
     if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= p:
@@ -279,10 +288,7 @@ def parse_model(obj: Mapping) -> CovarianceModel | MixingMatrices:
     """
     if not isinstance(obj, Mapping):
         raise ValueError(f"a model must be a JSON object, got {obj!r}")
-    raw_hurst = obj["hurst"]
-    if not isinstance(raw_hurst, (list, tuple)):
-        raise ValueError(f"hurst must be a list of numbers, got {raw_hurst!r}")
-    hurst = validate_hurst(_floats(raw_hurst, "hurst", (len(raw_hurst),)).tolist())
+    hurst = parse_hurst(obj.get("hurst"))
     p = hurst.p
     if "a_plus" in obj or "a_minus" in obj:
         return MixingMatrices(

@@ -103,17 +103,10 @@ def test_criterion_6_causal_factorization_roundtrip():
 def test_criterion_7_monte_carlo_end_to_end(h_pair):
     start = time.perf_counter()
     m = _standard_mixing(h_pair)
-    model = vfbm.coeffs_from_mixing(m)
     grid = TimeGrid((0.5, 1.0, 2.0))
     cfg = McConfig(n_reps=100_000, grid_step=0.05, trunc=120.0, seed=777)
     table = vfbm.mc_integral_oracle(m, grid, cfg)
-    analytic = np.array(
-        [
-            [vfbm.cov_pair(model, i, j, s, t) for t in grid.times for j in (1, 2)]
-            for s in grid.times
-            for i in (1, 2)
-        ]
-    )
+    analytic = vfbm.cov_matrix(vfbm.coeffs_from_mixing(m), grid).entries
     allowance = np.maximum(4.0 * table.se, 0.02 * float(np.max(np.abs(analytic))))
     ratio = float(np.max(np.abs(table.cov - analytic) / allowance))
     elapsed = time.perf_counter() - start

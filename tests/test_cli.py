@@ -176,6 +176,9 @@ _C12 = {"i": 1, "j": 2, "c_ij": 0.1, "c_ji": 0.1}
         _case({"hurst": [0.3, 0.6], "coefficients": {"pairs": {"i": 1, "j": 2}}}, "pairs-not-list"),
         _case({"hurst": [0.3, 0.6], "c_tilde": [[_NAN, 0.0], [0.0, 1.0]]}, "nan-c-tilde", argv=_FACTORIZE, match="amplitude"),
         _case({"hurst": [0.3, 0.6], "c_tilde": [[1.0, 0.2]]}, "c-tilde-wrong-shape", argv=_FACTORIZE, match="amplitude"),
+        _case([[1.0, 0.2], [0.2, 1.0]], "c-tilde-bare-list-no-hurst", argv=_FACTORIZE, match="hurst"),
+        _case({"hurst": 0.3, "c_tilde": [[1.0]]}, "c-tilde-scalar-hurst", argv=_FACTORIZE, match="hurst"),
+        _case({"hurst": "0.3", "c_tilde": [[1.0]]}, "c-tilde-string-hurst", argv=_FACTORIZE, match="hurst"),
         _case(_mixing_model(), "simulate-seed-negative", argv=(*_SIMULATE_SEED, "-1"), match="seed"),
         _case(_mixing_model(), "simulate-seed-2-64", argv=(*_SIMULATE_SEED, str(2**64)), match="seed"),
         _case(None, "verify-seed-negative", argv=("verify", "--seed", "-3"), match="seed"),
