@@ -36,7 +36,6 @@ from .model import (
     model_to_dict,
     mixing_to_dict,
     parse_model,
-    save_json,
     validate_hurst,
     validate_model,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "parse_model",
     "model_to_dict",
     "mixing_to_dict",
-    "save_json",
     "log_gamma",
     "beta",
     "phi",

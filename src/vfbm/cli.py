@@ -181,6 +181,8 @@ def main(argv=None) -> int:
         return _fail(exc.code, str(exc), 1)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return _fail(type(exc).__name__, str(exc), 2)
+    except MemoryError as exc:  # a request too large to allocate, e.g. simulate --n 10**12
+        return _fail("MemoryError", str(exc), 2)
 
 
 if __name__ == "__main__":  # pragma: no cover

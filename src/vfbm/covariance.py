@@ -116,18 +116,28 @@ def cov_matrix(model: CovarianceModel, grid: TimeGrid) -> CovMatrix:
 
     Entry ((k,i),(l,j)) equals E X_i(t_k) X_j(t_l); the result is symmetric
     by construction and its smallest eigenvalue is reported on the side.
+    An entry that overflows (times too large for the exponents) raises
+    ValueError naming its grid times.
     """
     p = model.p
     times = np.asarray(grid.times)
     s = times[:, None]
     t = times[None, :]
     m = np.empty((grid.n * p, grid.n * p))
-    for i in range(1, p + 1):
-        for j in range(i, p + 1):
-            block = np.asarray(cov_pair(model, i, j, s, t))
-            m[i - 1 :: p, j - 1 :: p] = block
-            if i != j:
-                m[j - 1 :: p, i - 1 :: p] = block.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, p + 1):
+            for j in range(i, p + 1):
+                block = np.asarray(cov_pair(model, i, j, s, t))
+                m[i - 1 :: p, j - 1 :: p] = block
+                if i != j:
+                    m[j - 1 :: p, i - 1 :: p] = block.T
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        (k, i), (l, j) = divmod(int(bad[0, 0]), p), divmod(int(bad[0, 1]), p)
+        raise ValueError(
+            f"the covariance on this grid is not finite: E X_{i + 1}({times[k]:g}) X_{j + 1}({times[l]:g}) "
+            f"= {m[bad[0, 0], bad[0, 1]]}"
+        )
     lam_min = float(np.linalg.eigvalsh(m)[0])
     return CovMatrix(entries=m, grid=grid, p=p, lambda_min=lam_min)
 

@@ -49,7 +49,6 @@ __all__ = [
     "parse_model",
     "model_to_dict",
     "mixing_to_dict",
-    "save_json",
 ]
 
 # Sums with |H_i+H_j-1| in this open band are rejected: not exactly critical,
@@ -62,6 +61,12 @@ PD_TOL = 1e-10
 # Coefficient keys of a model-file pair entry, by regime.
 _GENERAL_KEYS = ("c_ij", "c_ji")
 _CRITICAL_KEYS = ("d_ij", "f_ij")
+
+# The keys each level of a model file may carry; any other key is an error.
+_MIXING_FILE_KEYS = frozenset({"hurst", "a_plus", "a_minus"})
+_COEFFICIENT_FILE_KEYS = frozenset({"hurst", "coefficients"})
+_COEFFICIENTS_KEYS = frozenset({"sigma", "pairs"})
+_PAIR_KEYS = frozenset({"i", "j", *_GENERAL_KEYS, *_CRITICAL_KEYS})
 
 
 @dataclass(frozen=True)
@@ -272,6 +277,13 @@ def parse_hurst(raw) -> HurstVector:
     return validate_hurst(_floats(raw, "hurst", (len(raw),)).tolist())
 
 
+def _known_keys(obj: Mapping, allowed: frozenset, where: str) -> None:
+    """ValueError naming the first key of obj (in sorted order) outside allowed."""
+    unknown = sorted(str(k) for k in obj if k not in allowed)
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}; allowed keys are {sorted(allowed)}")
+
+
 def _index(entry: Mapping, key: str, p: int) -> int:
     value = entry[key]
     if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= p:
@@ -283,14 +295,17 @@ def parse_model(obj: Mapping) -> CovarianceModel | MixingMatrices:
     """Parse a model dict into whichever form the file carries.
 
     A pair entry may come in either orientation: {"i": 2, "j": 1, ...} gives
-    (c_21, c_12) or (d_21, f_21) = (d_12, -f_12).  Malformed input raises
-    ValueError (or KeyError for a missing field).
+    (c_21, c_12) or (d_21, f_21) = (d_12, -f_12).  A mixing file without
+    ``a_minus`` is causal (A_minus = 0).  Malformed input, an unknown key at
+    any level included, raises ValueError (or KeyError for a missing field).
     """
     if not isinstance(obj, Mapping):
         raise ValueError(f"a model must be a JSON object, got {obj!r}")
+    mixing = "a_plus" in obj or "a_minus" in obj
+    _known_keys(obj, _MIXING_FILE_KEYS if mixing else _COEFFICIENT_FILE_KEYS, "the top level of the model")
     hurst = parse_hurst(obj.get("hurst"))
     p = hurst.p
-    if "a_plus" in obj or "a_minus" in obj:
+    if mixing:
         return MixingMatrices(
             a_plus=_floats(obj["a_plus"], "a_plus", (p, p)),
             a_minus=_floats(obj["a_minus"], "a_minus", (p, p)) if "a_minus" in obj else np.zeros((p, p)),
@@ -299,6 +314,7 @@ def parse_model(obj: Mapping) -> CovarianceModel | MixingMatrices:
     coeffs = obj.get("coefficients", {})
     if not isinstance(coeffs, Mapping):
         raise ValueError(f"coefficients must be a JSON object, got {coeffs!r}")
+    _known_keys(coeffs, _COEFFICIENTS_KEYS, "coefficients")
     sigma = _floats(coeffs["sigma"], "sigma", (p,)) if "sigma" in coeffs else None
     entries = coeffs.get("pairs", [])
     if not isinstance(entries, list):
@@ -310,6 +326,7 @@ def parse_model(obj: Mapping) -> CovarianceModel | MixingMatrices:
     for entry in entries:
         if not isinstance(entry, Mapping):
             raise ValueError(f"a pair entry must be a JSON object, got {entry!r}")
+        _known_keys(entry, _PAIR_KEYS, "a pair entry")
         i, j = _index(entry, "i", p) - 1, _index(entry, "j", p) - 1
         if i == j:
             raise ValueError(f"pair ({i + 1},{j + 1}) is on the diagonal")
@@ -365,8 +382,3 @@ def mixing_to_dict(m: MixingMatrices) -> dict:
         "a_minus": m.a_minus.tolist(),
     }
 
-
-def save_json(obj: Mapping, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")

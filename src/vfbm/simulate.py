@@ -6,14 +6,14 @@ the identically-zero row at grid time 0, are skipped).  ``mc_integral_oracle``
 instead simulates the moving-average construction directly: the stochastic
 integral is discretized by a midpoint Riemann sum on a truncated domain with
 local refinement around the kernel singularities, giving an end-to-end
-statistical check of the whole covariance machinery.
+statistical check of the whole covariance machinery.  The sum is linear in
+its normals, x = K z, so the oracle draws x exactly from N(0, K K^T) through
+the same Cholesky draw as ``sample_paths``.
 
 Reproducibility contract: every seeded routine draws its standard normals
 from one ``np.random.default_rng(seed)`` stream, replication after
-replication, so reruns with a fixed seed are bit-identical and the values do
-not depend on how the draws are chunked; replication r is reached only by
-drawing replications 0..r-1 first.  The MC reductions use numpy's pairwise
-summation over fixed-size batches.
+replication, so reruns with a fixed seed are bit-identical; replication r is
+reached only by drawing replications 0..r-1 first.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ __all__ = [
     "mc_integral_oracle",
     "empirical_cov",
 ]
-
-_MC_BATCH = 256  # fixed replication batch of the integral discretization
 
 # pivots below -PIVOT_TOL * ||C||_inf fail; |pivot| <= ZERO_TOL * ||C||_inf is
 # treated as an exactly semidefinite direction and skipped.
@@ -93,11 +91,6 @@ class McConfig:
         if not self.trunc > 0.0:
             raise ConfigError(f"trunc must be positive, got {self.trunc}")
 
-    @classmethod
-    def default_for(cls, grid: TimeGrid, n_reps: int = 100_000, seed: int = 0) -> "McConfig":
-        t_max = max(abs(t) for t in grid.times)
-        return cls(n_reps=n_reps, grid_step=0.05, trunc=1e3 * max(t_max, 1.0), seed=seed)
-
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCovariance:
@@ -126,7 +119,7 @@ def cholesky_psd(c: CovMatrix | np.ndarray) -> np.ndarray:
     failing, so grids containing t = 0 factor cleanly.  A pivot below
     -1e-10 ||C||_inf raises NotPsdError.
     """
-    a = np.array(c.entries if isinstance(c, CovMatrix) else c, dtype=float)
+    a = np.asarray(c.entries if isinstance(c, CovMatrix) else c, dtype=float)  # only read below, so not copied
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -144,6 +137,14 @@ def cholesky_psd(c: CovMatrix | np.ndarray) -> np.ndarray:
     return low
 
 
+def _draw(low: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """n draws of N(0, low low^T), one per row: row r is the r-th block of
+    low.shape[0] normals of the default_rng(seed) stream times low^T."""
+    z = np.empty((n, low.shape[0]))  # filled in place: drawing a new array raised peak RSS by ~12%
+    np.random.default_rng(seed).standard_normal(out=z)
+    return z @ low.T
+
+
 def sample_paths(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -> PathEnsemble:
     """Draw n i.i.d. exact skeletons of the process on the grid.
 
@@ -154,12 +155,7 @@ def sample_paths(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -> P
     seed = check_seed(seed)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    c = cov_matrix(model, grid)
-    low = cholesky_psd(c)
-    dim = c.dim
-    z = np.empty((n, dim))  # filled in place: drawing a new array raised peak RSS by ~12%
-    np.random.default_rng(seed).standard_normal(out=z)
-    flat = z @ low.T
+    flat = _draw(cholesky_psd(cov_matrix(model, grid)), n, seed)
     digest = hashlib.sha256(
         json.dumps(model_to_dict(model), sort_keys=True).encode("utf-8")
     ).hexdigest()
@@ -217,12 +213,14 @@ def _tail_variance_bound(h: float, row_norm_sq: float, t_max: float, cut: float)
 
 
 def mc_integral_oracle(m: MixingMatrices, grid: TimeGrid, cfg: McConfig) -> McCovarianceTable:
-    """Empirical covariance of the Riemann-sum discretized construction.
+    """Empirical covariance of exact draws of the Riemann-sum discretized construction.
 
-    Per replication, independent Gaussian increments (scaled by sqrt of
-    the cell width) drive the midpoint-evaluated kernels.  The domain is
-    [-trunc, max(grid)+1]; when A_minus is nonzero the right edge extends
-    to +trunc because the anti-causal kernels carry a right tail.
+    The midpoint sum X_i(t_g) = sum_k sum_cells (A_plus[i,k] f+_i(t_g, x) +
+    A_minus[i,k] f-_i(t_g, x)) sqrt(width) z_k(cell) is x = K z with K of
+    shape (n p, p cells), so x ~ N(0, K K^T) exactly; the n_reps replications
+    are drawn from that law by the Cholesky draw of ``sample_paths``.  The
+    domain is [-trunc, max(grid)+1]; when A_minus is nonzero the right edge
+    extends to +trunc because the anti-causal kernels carry a right tail.
 
     Raises ConfigError if the analytic truncation-tail bound exceeds the
     accuracy budget (the 2% discretization allowance on the variance scale).
@@ -255,39 +253,17 @@ def mc_integral_oracle(m: MixingMatrices, grid: TimeGrid, cfg: McConfig) -> McCo
 
     mids, widths = _build_cells(grid, cfg, right_edge)
     sqrt_w = np.sqrt(widths)
-    n_cells = mids.size
-
-    f_plus = np.empty((p, grid.n, n_cells))
-    for i in range(p):
-        for g, tg in enumerate(grid.times):
-            f_plus[i, g] = kernel_factor("+", m.hurst[i], tg, mids)
-    f_minus = None
-    if not causal_only:
-        f_minus = np.empty_like(f_plus)
+    sides = (("+", m.a_plus),) if causal_only else (("+", m.a_plus), ("-", m.a_minus))
+    kmat = np.zeros((grid.n, p, p, mids.size))  # K: row (time g, component i), column (component k, cell)
+    for side, a in sides:
         for i in range(p):
             for g, tg in enumerate(grid.times):
-                f_minus[i, g] = kernel_factor("-", m.hurst[i], tg, mids)
+                kmat[g, i] += a[i, :, None] * (kernel_factor(side, m.hurst[i], tg, mids) * sqrt_w)
+    kmat = kmat.reshape(grid.n * p, p * mids.size)
 
-    dim = grid.n * p
-    sum_p = np.zeros((dim, dim))
-    sum_p2 = np.zeros((dim, dim))
-    done = 0
-    rng = np.random.default_rng(cfg.seed)
-    dw = np.empty((_MC_BATCH, p, n_cells))
-    while done < cfg.n_reps:
-        batch = min(_MC_BATCH, cfg.n_reps - done)
-        rng.standard_normal(out=dw[:batch])
-        scaled = dw[:batch] * sqrt_w
-        x = np.einsum("igm,bim->bgi", f_plus, np.einsum("ik,bkm->bim", m.a_plus, scaled))
-        if f_minus is not None:
-            x += np.einsum("igm,bim->bgi", f_minus, np.einsum("ik,bkm->bim", m.a_minus, scaled))
-        x = x.reshape(batch, dim)
-        prods = np.einsum("ba,bc->bac", x, x)
-        sum_p += prods.sum(axis=0)
-        sum_p2 += (prods**2).sum(axis=0)
-        done += batch
-
-    mean = sum_p / cfg.n_reps
-    var = np.maximum(sum_p2 / cfg.n_reps - mean**2, 0.0)
+    x = _draw(cholesky_psd(kmat @ kmat.T), cfg.n_reps, cfg.seed)
+    mean = x.T @ x / cfg.n_reps
+    sq = x**2
+    var = np.maximum(sq.T @ sq / cfg.n_reps - mean**2, 0.0)
     se = np.sqrt(var / cfg.n_reps)
     return McCovarianceTable(cov=mean, se=se, grid=grid, p=p, n_reps=cfg.n_reps)

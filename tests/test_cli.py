@@ -144,6 +144,9 @@ def _mixing_model(a_plus=((1.0, 0.5), (0.0, 1.0)), a_minus=((0.0, 0.0), (0.0, 0.
 _VALIDATE = ("validate", "--model", "in.json")
 _FACTORIZE = ("factorize", "--c-tilde", "in.json")
 _SIMULATE_SEED = ("simulate", "--model", "in.json", "--grid", "0.5,1", "--n", "2", "--out", "paths.csv", "--seed")
+# 10**12 paths cannot be allocated, so the request fails at once
+_SIMULATE_HUGE = ("simulate", "--model", "in.json", "--grid", "0.5,1", "--n", str(10**12), "--out", "paths.csv")
+_COV_OVERFLOW = ("cov", "--model", "in.json", "--grid", "0.5,1,1e308", "--out", "cov.csv")
 
 
 def _case(content, id, error="ValueError", argv=_VALIDATE, match=""):
@@ -182,6 +185,11 @@ _C12 = {"i": 1, "j": 2, "c_ij": 0.1, "c_ji": 0.1}
         _case(_mixing_model(), "simulate-seed-negative", argv=(*_SIMULATE_SEED, "-1"), match="seed"),
         _case(_mixing_model(), "simulate-seed-2-64", argv=(*_SIMULATE_SEED, str(2**64)), match="seed"),
         _case(None, "verify-seed-negative", argv=("verify", "--seed", "-3"), match="seed"),
+        _case({"hurst": [0.3, 0.7], "coefficents": {"pairs": []}}, "unknown-top-level-key", match="coefficents"),
+        _case({"hurst": [0.3, 0.6], "coefficients": {"sigmas": [2.0, 1.0]}}, "unknown-coefficients-key", match="sigmas"),
+        _case(_coeff_model(pairs=[{**_C12, "weight": 2.0}]), "unknown-pair-key", match="weight"),
+        _case(_coeff_model(hurst=(0.3, 0.7)), "cov-grid-overflow", argv=_COV_OVERFLOW, match="grid"),
+        _case(_mixing_model(), "simulate-out-of-memory", error="MemoryError", argv=_SIMULATE_HUGE),
     ],
 )
 def test_usage_error_exit_code(tmp_path, argv, content, error, match):

@@ -134,7 +134,8 @@ def test_model_json_roundtrip(tmp_path):
         f=[[0.0, -0.1, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0]],
     )
     path = tmp_path / "model.json"
-    vfbm.save_json(vfbm.model_to_dict(model), path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(vfbm.model_to_dict(model), fh)
     back = vfbm.load_model(path)
     assert back.hurst.h == model.hurst.h
     assert np.array_equal(back.sigma, model.sigma)
@@ -268,3 +269,36 @@ def test_parse_model_raises_only_reported_errors(obj):
         vfbm.parse_model(obj)
     except (VfbmError, ValueError, KeyError):
         pass
+
+
+_KNOWN_KEYS = ["hurst", "coefficients", "a_plus", "a_minus", "sigma", "pairs", "i", "j", "c_ij", "c_ji", "d_ij", "f_ij"]
+
+
+@st.composite
+def _model_dict_with_a_key_renamed(draw):
+    """A valid model dict, coefficient or mixing form, with one key at any level renamed."""
+    if draw(st.booleans()):
+        obj = vfbm.model_to_dict(draw(_models()))
+    else:
+        p = draw(st.integers(1, 3))
+        matrix = st.lists(st.lists(st.floats(-10, 10), min_size=p, max_size=p), min_size=p, max_size=p)
+        obj = {"hurst": [0.3, 0.6, 0.55][:p], "a_plus": draw(matrix)}
+        if draw(st.booleans()):
+            obj["a_minus"] = draw(matrix)  # optional: a mixing file without it is causal
+    vfbm.parse_model(obj)  # valid before the rename
+    levels = [obj]
+    if "coefficients" in obj:
+        levels += [obj["coefficients"], *obj["coefficients"]["pairs"]]
+    level = draw(st.sampled_from(levels))
+    old = draw(st.sampled_from(sorted(level)))
+    new = draw((st.text(max_size=8) | st.sampled_from(_KNOWN_KEYS)).filter(lambda k: k not in level))
+    level[new] = level.pop(old)
+    return obj
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_model_dict_with_a_key_renamed())
+def test_parse_model_rejects_any_renamed_key(obj):
+    # no key may be silently dropped or defaulted: a misspelled key never yields a model
+    with pytest.raises((VfbmError, ValueError, KeyError)):
+        vfbm.parse_model(obj)
