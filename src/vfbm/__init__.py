@@ -20,10 +20,9 @@ from .covariance import (
     cov_matrix,
     cov_pair,
     cov_same,
-    sign_coeff,
     write_cov_csv,
 )
-from .kernels import KernelKind, b_coeff, kernel_cov, kernel_factor, quadrature_kernel_oracle
+from .kernels import KernelKind, kernel_cov, kernel_factor, quadrature_kernel_oracle, sign_coeff
 from .model import (
     CovarianceModel,
     HurstVector,
@@ -41,7 +40,6 @@ from .model import (
 )
 from .representation import (
     AlphaProducts,
-    TildeC,
     alpha_products,
     assemble_via_kernels,
     causal_factorize,
@@ -76,7 +74,6 @@ __all__ = [
     "McCovarianceTable",
     "EmpiricalCovariance",
     "AlphaProducts",
-    "TildeC",
     "KernelKind",
     "validate_hurst",
     "critical_pairs",
@@ -89,12 +86,11 @@ __all__ = [
     "log_gamma",
     "beta",
     "phi",
-    "b_coeff",
+    "sign_coeff",
     "kernel_cov",
     "kernel_factor",
     "quadrature_kernel_oracle",
     "cov_same",
-    "sign_coeff",
     "cov_pair",
     "cov_matrix",
     "write_cov_csv",

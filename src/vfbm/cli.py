@@ -16,6 +16,32 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from .covariance import cov_matrix, write_cov_csv
+from .errors import VfbmError
+from .model import (
+    MixingMatrices,
+    TimeGrid,
+    _floats,
+    _known_keys,
+    ensure_valid,
+    load_model,
+    mixing_to_dict,
+    model_to_dict,
+    parse_hurst,
+    parse_model,
+    read_json,
+    validate_hurst,
+    validate_model,
+)
+from .representation import causal_factorize, coeffs_from_mixing
+from .simulate import sample_paths
+from .verify import run_suite
+
+# The keys a c_tilde file in object form may carry.
+_C_TILDE_FILE_KEYS = frozenset({"c_tilde", "hurst"})
+
 
 def _atomic_write(path: str | Path, write) -> None:
     """Run write(tmp) on a temporary file beside path, then rename it to path."""
@@ -44,26 +70,18 @@ def _fail(code: str, message: str, status: int) -> int:
     return status
 
 
-def _parse_grid(text: str):
-    from .model import TimeGrid
-
+def _parse_grid(text: str) -> TimeGrid:
     return TimeGrid(tuple(float(v) for v in text.split(",") if v.strip()))
 
 
 def _cmd_validate(args) -> int:
-    from .model import load_model, validate_model
-
     report = validate_model(load_model(args.model))
     _emit(report.to_dict(), args.out)
     return 0 if report.passed else 1
 
 
 def _cmd_coeffs(args) -> int:
-    from .model import MixingMatrices, model_to_dict, parse_model
-    from .representation import coeffs_from_mixing
-
-    with open(args.mixing, "r", encoding="utf-8") as fh:
-        parsed = parse_model(json.load(fh))
+    parsed = parse_model(read_json(args.mixing))
     if not isinstance(parsed, MixingMatrices):
         return _fail("Usage", "coeffs expects a mixing-matrix model file (a_plus/a_minus)", 2)
     _emit(model_to_dict(coeffs_from_mixing(parsed)), args.out)
@@ -71,38 +89,31 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_cov(args) -> int:
-    from .covariance import cov_matrix, write_cov_csv
-    from .model import ensure_valid, load_model
-
     model = ensure_valid(load_model(args.model))
     cov = cov_matrix(model, _parse_grid(args.grid))
     _atomic_write(args.out, lambda tmp: write_cov_csv(cov, tmp))
-    sys.stdout.write(json.dumps({"lambda_min": cov.lambda_min, "dim": cov.dim, "out": args.out}) + "\n")
+    lambda_min = float(np.linalg.eigvalsh(cov.entries)[0])
+    sys.stdout.write(json.dumps({"lambda_min": lambda_min, "dim": cov.dim, "out": args.out}) + "\n")
     return 0
 
 
 def _cmd_factorize(args) -> int:
-    import numpy as np
-
-    from .model import mixing_to_dict, parse_hurst, validate_hurst
-    from .representation import TildeC, causal_factorize
-
-    with open(args.c_tilde, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    matrix = np.asarray(obj["c_tilde"] if isinstance(obj, dict) else obj, dtype=float)
+    obj = read_json(args.c_tilde)
+    if isinstance(obj, dict):
+        _known_keys(obj, _C_TILDE_FILE_KEYS, "the top level of the c_tilde file")
+        raw, file_hurst = obj.get("c_tilde"), obj.get("hurst")
+    else:  # a bare p x p list
+        raw, file_hurst = obj, None
     if args.hurst:
         hurst = validate_hurst([float(v) for v in args.hurst.split(",")])
     else:
-        hurst = parse_hurst(obj.get("hurst") if isinstance(obj, dict) else None)
-    mixing = causal_factorize(TildeC(c_tilde=matrix), hurst)
+        hurst = parse_hurst(file_hurst)
+    mixing = causal_factorize(_floats(raw, "amplitude matrix c_tilde", (hurst.p, hurst.p)), hurst)
     _emit(mixing_to_dict(mixing), args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    from .model import ensure_valid, load_model
-    from .simulate import sample_paths
-
     model = ensure_valid(load_model(args.model))
     grid = _parse_grid(args.grid)
     ens = sample_paths(model, grid, args.n, args.seed)
@@ -122,8 +133,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suite
-
     report = run_suite(args.suite, seed=args.seed)
     _emit(report, args.out)
     return 0 if report["passed"] else 1
@@ -173,8 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    from .errors import VfbmError
-
     try:
         return args.fn(args)
     except VfbmError as exc:

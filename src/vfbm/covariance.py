@@ -25,13 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IndexOutOfRangeError
-from .kernels import _maybe_scalar, _xlogx
+from .kernels import _maybe_scalar, _xlogx, sign_coeff
 from .model import CovarianceModel, TimeGrid
 
 __all__ = [
     "CovMatrix",
     "cov_same",
-    "sign_coeff",
     "cov_pair",
     "cov_matrix",
     "write_cov_csv",
@@ -46,11 +45,6 @@ def cov_same(h_i: float, sigma_i: float, s, t):
     return _maybe_scalar(
         0.5 * sigma_i**2 * (np.abs(s) ** e + np.abs(t) ** e - np.abs(t - s) ** e)
     )
-
-
-def sign_coeff(c_ij: float, c_ji: float, t):
-    """c_ij for t > 0, c_ji for t < 0; the t = 0 value (c_ij) never contributes."""
-    return _maybe_scalar(np.where(np.asarray(t, dtype=float) >= 0.0, c_ij, c_ji))
 
 
 def cov_pair(model: CovarianceModel, i: int, j: int, s, t):
@@ -104,7 +98,6 @@ class CovMatrix:
     entries: np.ndarray
     grid: TimeGrid
     p: int
-    lambda_min: float
 
     @property
     def dim(self) -> int:
@@ -115,9 +108,8 @@ def cov_matrix(model: CovarianceModel, grid: TimeGrid) -> CovMatrix:
     """Assemble the (n p) x (n p) covariance of the process on the grid.
 
     Entry ((k,i),(l,j)) equals E X_i(t_k) X_j(t_l); the result is symmetric
-    by construction and its smallest eigenvalue is reported on the side.
-    An entry that overflows (times too large for the exponents) raises
-    ValueError naming its grid times.
+    by construction.  An entry that overflows (times too large for the
+    exponents) raises ValueError naming its grid times.
     """
     p = model.p
     times = np.asarray(grid.times)
@@ -138,8 +130,7 @@ def cov_matrix(model: CovarianceModel, grid: TimeGrid) -> CovMatrix:
             f"the covariance on this grid is not finite: E X_{i + 1}({times[k]:g}) X_{j + 1}({times[l]:g}) "
             f"= {m[bad[0, 0], bad[0, 1]]}"
         )
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    return CovMatrix(entries=m, grid=grid, p=p, lambda_min=lam_min)
+    return CovMatrix(entries=m, grid=grid, p=p)
 
 
 def write_cov_csv(cov: CovMatrix, path: str | Path) -> None:

@@ -28,7 +28,7 @@ from .special import CRITICAL_TOL, beta, phi
 
 __all__ = [
     "KernelKind",
-    "b_coeff",
+    "sign_coeff",
     "kernel_cov",
     "kernel_factor",
     "quadrature_kernel_oracle",
@@ -71,15 +71,11 @@ def _xlogx(u):
     return u * np.log(safe)
 
 
-def b_coeff(h_i: float, h_j: float, s) -> float:
-    """Sign-dependent cosine weight: cos(H_i pi) for s > 0, cos(H_j pi) for s < 0.
-
-    At s = 0 the value never multiplies anything nonzero; it is fixed to
-    cos(H_i pi) for definiteness.
-    """
-    return _maybe_scalar(
-        np.where(np.asarray(s, dtype=float) >= 0.0, math.cos(math.pi * h_i), math.cos(math.pi * h_j))
-    )
+def sign_coeff(c_ij: float, c_ji: float, t):
+    """c_ij for t >= 0 and c_ji for t < 0; the t = 0 value never multiplies
+    anything nonzero.  The covariance formulas switch their coefficients
+    with it, and the kernel covariances their weights cos(H_i pi), cos(H_j pi)."""
+    return _maybe_scalar(np.where(np.asarray(t, dtype=float) >= 0.0, c_ij, c_ji))
 
 
 def kernel_cov(kind: KernelKind, h_i: float, h_j: float, s, t):
@@ -95,6 +91,7 @@ def kernel_cov(kind: KernelKind, h_i: float, h_j: float, s, t):
         s, t = -s, -t
     alpha = h_i + h_j
     bval = beta(h_i + 0.5, h_j + 0.5)
+    cos_i, cos_j = math.cos(math.pi * h_i), math.cos(math.pi * h_j)
 
     if abs(alpha - 1.0) <= CRITICAL_TOL:
         spread = np.abs(s) + np.abs(t) - np.abs(s - t)
@@ -103,7 +100,7 @@ def kernel_cov(kind: KernelKind, h_i: float, h_j: float, s, t):
         logpart = _xlogx(s) - _xlogx(t) - _xlogx(s - t)
         return _maybe_scalar(
             (bval / math.pi)
-            * (0.5 * math.pi * math.sin(math.pi * h_i) * spread - math.cos(math.pi * h_i) * logpart)
+            * (0.5 * math.pi * math.sin(math.pi * h_i) * spread - cos_i * logpart)
         )
 
     if kind is KernelKind.PP:
@@ -111,9 +108,9 @@ def kernel_cov(kind: KernelKind, h_i: float, h_j: float, s, t):
         return _maybe_scalar(
             psi
             * (
-                b_coeff(h_i, h_j, s) * np.abs(s) ** alpha
-                + b_coeff(h_j, h_i, t) * np.abs(t) ** alpha
-                - b_coeff(h_i, h_j, s - t) * np.abs(s - t) ** alpha
+                sign_coeff(cos_i, cos_j, s) * np.abs(s) ** alpha
+                + sign_coeff(cos_j, cos_i, t) * np.abs(t) ** alpha
+                - sign_coeff(cos_i, cos_j, s - t) * np.abs(s - t) ** alpha
             )
         )
     return _maybe_scalar(bval * (_pow_plus(s - t, alpha) - _pow_plus(s, alpha) - _pow_plus(-t, alpha)))

@@ -45,6 +45,7 @@ __all__ = [
     "validate_model",
     "ensure_valid",
     "load_model",
+    "read_json",
     "parse_hurst",
     "parse_model",
     "model_to_dict",
@@ -261,10 +262,15 @@ def ensure_valid(m: CovarianceModel) -> CovarianceModel:
 # JSON model files (1-based indices, matching user-facing notation)
 # ---------------------------------------------------------------------------
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(_has_bool(v) for v in value))
+
+
 def _floats(value, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A JSON value as a float array of exactly ``shape``; ValueError otherwise."""
+    """A JSON value as a float array of exactly ``shape``; ValueError otherwise,
+    also for a true/false among numbers (numpy would read it as 1/0)."""
     arr = np.array(value)
-    if arr.dtype.kind not in "iuf" or arr.shape != shape:
+    if arr.dtype.kind not in "iuf" or arr.shape != shape or _has_bool(value):
         raise ValueError(f"{name} must be numbers of shape {shape}, got {value!r}")
     return arr.astype(float)
 
@@ -348,11 +354,26 @@ def parse_model(obj: Mapping) -> CovarianceModel | MixingMatrices:
     return CovarianceModel(hurst=hurst, sigma=sigma, c=c, f=f)
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given twice in one JSON object")
+        obj[key] = value
+    return obj
+
+
+def read_json(path: str | Path):
+    """The content of a JSON file; ValueError naming a key repeated within
+    one object, which plain ``json.load`` would resolve silently to its last
+    value."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
 def load_model(path: str | Path) -> CovarianceModel:
     """Load a model file, converting mixing matrices to coefficients if needed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    parsed = parse_model(obj)
+    parsed = parse_model(read_json(path))
     if isinstance(parsed, MixingMatrices):
         from .representation import coeffs_from_mixing  # deferred: avoids import cycle
 

@@ -43,7 +43,6 @@ from .special import beta, phi
 
 __all__ = [
     "AlphaProducts",
-    "TildeC",
     "alpha_products",
     "sigma_from_mixing",
     "coeffs_from_mixing",
@@ -68,13 +67,6 @@ class AlphaProducts:
     amm: np.ndarray
     apm: np.ndarray
     amp: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class TildeC:
-    """Cross-covariance amplitude matrix of the mixing representation."""
-
-    c_tilde: np.ndarray
 
 
 def alpha_products(m: MixingMatrices) -> AlphaProducts:
@@ -144,16 +136,15 @@ def coeffs_from_mixing(m: MixingMatrices) -> CovarianceModel:
     return CovarianceModel(hurst=h, sigma=sigma, c=c, f=f)
 
 
-def tilde_c(m: MixingMatrices) -> TildeC:
-    """Amplitude matrix of the displayed quadratic form in (A+, A-)."""
+def tilde_c(m: MixingMatrices) -> np.ndarray:
+    """The p x p amplitude matrix C~ of the displayed quadratic form in (A+, A-)."""
     a = alpha_products(m)
     cos_h = np.diag(np.cos(np.pi * np.asarray(m.hurst.h)))
     sin_h = np.diag(np.sin(np.pi * np.asarray(m.hurst.h)))
-    c = cos_h @ a.app + a.amm @ cos_h - sin_h @ a.apm @ cos_h - cos_h @ a.apm @ sin_h
-    return TildeC(c_tilde=c)
+    return cos_h @ a.app + a.amm @ cos_h - sin_h @ a.apm @ cos_h - cos_h @ a.apm @ sin_h
 
 
-def causal_factorize(c_tilde: TildeC, h: HurstVector) -> MixingMatrices:
+def causal_factorize(c_tilde: np.ndarray, h: HurstVector) -> MixingMatrices:
     """Recover a causal representation (A- = 0) from the amplitude matrix.
 
     Computes M = cos(H pi)^(-1) C~ and returns A+ = chol(M) (lower
@@ -165,7 +156,7 @@ def causal_factorize(c_tilde: TildeC, h: HurstVector) -> MixingMatrices:
     InfeasibleFactorizationError("NotSymmetric" | "NotPD") when M fails the
     feasibility conditions.
     """
-    ct = np.asarray(c_tilde.c_tilde, dtype=float)
+    ct = np.asarray(c_tilde, dtype=float)
     if ct.shape != (h.p, h.p):
         raise ValueError(f"amplitude matrix has shape {ct.shape}, expected ({h.p}, {h.p})")
     if not np.all(np.isfinite(ct)):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovMatrix, cov_matrix
+from .covariance import cov_matrix
 from .errors import ConfigError, NotPsdError
 from .kernels import kernel_factor
 from .model import CovarianceModel, MixingMatrices, TimeGrid, model_to_dict
@@ -112,14 +112,14 @@ class McCovarianceTable:
     n_reps: int
 
 
-def cholesky_psd(c: CovMatrix | np.ndarray) -> np.ndarray:
+def cholesky_psd(c: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L* = C for symmetric positive semidefinite C.
 
     Zero (or numerically zero) pivots produce zero columns instead of
     failing, so grids containing t = 0 factor cleanly.  A pivot below
     -1e-10 ||C||_inf raises NotPsdError.
     """
-    a = np.asarray(c.entries if isinstance(c, CovMatrix) else c, dtype=float)  # only read below, so not copied
+    a = np.asarray(c, dtype=float)  # only read below, so not copied
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -155,7 +155,7 @@ def sample_paths(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -> P
     seed = check_seed(seed)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    flat = _draw(cholesky_psd(cov_matrix(model, grid)), n, seed)
+    flat = _draw(cholesky_psd(cov_matrix(model, grid).entries), n, seed)
     digest = hashlib.sha256(
         json.dumps(model_to_dict(model), sort_keys=True).encode("utf-8")
     ).hexdigest()

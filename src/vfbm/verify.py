@@ -15,7 +15,6 @@ from .errors import DegenerateComponentError, InfeasibleFactorizationError
 from .kernels import KernelKind, kernel_cov, quadrature_kernel_oracle
 from .model import HurstVector, MixingMatrices, TimeGrid, validate_hurst
 from .representation import (
-    TildeC,
     assemble_via_kernels,
     causal_factorize,
     coeffs_from_mixing,
@@ -159,7 +158,7 @@ def suite_tildec(seed: int, n_models: int = 20) -> list[dict]:
         p = int(rng.integers(2, 4))
         m = random_mixing(rng, p, a_minus_scale=float(rng.uniform(0, 1.5)))
         model = coeffs_from_mixing(m)
-        ct = tilde_c(m).c_tilde
+        ct = tilde_c(m)
         for i in range(1, p + 1):
             for j in range(1, p + 1):
                 if i == j:
@@ -182,17 +181,14 @@ def suite_factorization(seed: int, n_models: int = 20) -> list[dict]:
         ct = tilde_c(m0)
         recovered = causal_factorize(ct, h)
         ct2 = tilde_c(recovered)
-        worst = max(
-            worst,
-            float(np.max(np.abs(ct.c_tilde - ct2.c_tilde))) / max(1.0, float(np.max(np.abs(ct.c_tilde)))),
-        )
+        worst = max(worst, float(np.max(np.abs(ct - ct2))) / max(1.0, float(np.max(np.abs(ct)))))
     rejected = 0.0
     h = random_hurst(np.random.default_rng(seed + 1), 2)
     cos_h = np.cos(np.pi * np.asarray(h.h))
     # an asymmetric M, then one with a negative eigenvalue
     for bad, reason in (([[1.0, 0.9], [0.2, 1.0]], "NotSymmetric"), ([[1.0, 2.0], [2.0, 1.0]], "NotPD")):
         try:
-            causal_factorize(TildeC(c_tilde=cos_h[:, None] * np.array(bad)), h)
+            causal_factorize(cos_h[:, None] * np.array(bad), h)
             rejected = 1.0
         except InfeasibleFactorizationError as exc:
             if exc.reason != reason:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +86,10 @@ def test_cov_subcommand(tmp_path, mixing_file):
     res = _run("cov", "--model", str(model), "--grid", "0,1,2", "--out", str(out2), cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     assert out.read_bytes() == out2.read_bytes()  # byte-identical rerun
+    report = json.loads(res.stdout)
+    entries = vfbm.cov_matrix(vfbm.load_model(model), vfbm.TimeGrid((0.0, 1.0, 2.0))).entries
+    assert report["lambda_min"] == float(np.linalg.eigvalsh(entries)[0])
+    assert report["dim"] == 6
 
 
 def test_simulate_idempotent_and_inputs_untouched(tmp_path, mixing_file):
@@ -120,7 +125,7 @@ def test_factorize_roundtrip_via_cli(tmp_path):
         a_plus=np.array([[1.2, 0.0], [0.4, 0.9]]), a_minus=np.zeros((2, 2)), hurst=hv
     )
     ct = tmp_path / "ct.json"
-    ct.write_text(json.dumps({"hurst": [0.3, 0.6], "c_tilde": vfbm.tilde_c(m0).c_tilde.tolist()}))
+    ct.write_text(json.dumps({"hurst": [0.3, 0.6], "c_tilde": vfbm.tilde_c(m0).tolist()}))
     out = tmp_path / "mix.json"
     res = _run("factorize", "--c-tilde", str(ct), "--out", str(out), cwd=tmp_path)
     assert res.returncode == 0, res.stderr
@@ -147,6 +152,7 @@ _SIMULATE_SEED = ("simulate", "--model", "in.json", "--grid", "0.5,1", "--n", "2
 # 10**12 paths cannot be allocated, so the request fails at once
 _SIMULATE_HUGE = ("simulate", "--model", "in.json", "--grid", "0.5,1", "--n", str(10**12), "--out", "paths.csv")
 _COV_OVERFLOW = ("cov", "--model", "in.json", "--grid", "0.5,1,1e308", "--out", "cov.csv")
+_COEFFS = ("coeffs", "--mixing", "in.json")
 
 
 def _case(content, id, error="ValueError", argv=_VALIDATE, match=""):
@@ -154,6 +160,17 @@ def _case(content, id, error="ValueError", argv=_VALIDATE, match=""):
 
 
 _C12 = {"i": 1, "j": 2, "c_ij": 0.1, "c_ji": 0.1}
+# C~ = cos(H pi) for H = (0.3, 0.6), which factors with A+ = I
+_CT = [[math.cos(0.3 * math.pi), 0.0], [0.0, math.cos(0.6 * math.pi)]]
+_CT_STRINGS = [[str(v) for v in row] for row in _CT]
+
+# A key repeated within one object, which json.dumps cannot write: in each
+# case the last value alone would pass.
+_DUPLICATE_PAIR_KEY = (
+    '{"hurst": [0.3, 0.6], "coefficients": {"pairs": [{"i": 1, "j": 2, "c_ij": 0.9, "c_ji": 0.1, "c_ij": 0.1}]}}'
+)
+_DUPLICATE_TOP_LEVEL_KEY = '{"hurst": [0.3, 0.6], "a_plus": [[1.0, 0.5], [0.5, 0.25]], "a_plus": [[1.0, 0.5], [0.0, 1.0]]}'
+_DUPLICATE_C_TILDE_KEY = f'{{"hurst": [0.3, 0.6], "c_tilde": [[1.0, 0.0], [0.0, 1.0]], "c_tilde": {json.dumps(_CT)}}}'
 
 
 @pytest.mark.parametrize(
@@ -182,6 +199,15 @@ _C12 = {"i": 1, "j": 2, "c_ij": 0.1, "c_ji": 0.1}
         _case([[1.0, 0.2], [0.2, 1.0]], "c-tilde-bare-list-no-hurst", argv=_FACTORIZE, match="hurst"),
         _case({"hurst": 0.3, "c_tilde": [[1.0]]}, "c-tilde-scalar-hurst", argv=_FACTORIZE, match="hurst"),
         _case({"hurst": "0.3", "c_tilde": [[1.0]]}, "c-tilde-string-hurst", argv=_FACTORIZE, match="hurst"),
+        _case({"hurst": [0.3, 0.6], "c_tilde": _CT_STRINGS}, "c-tilde-string-entries", argv=_FACTORIZE, match="amplitude"),
+        _case({"hurst": [0.3, 0.6], "c_tilde": [[True, False], [False, True]]}, "c-tilde-bool-entries", argv=_FACTORIZE, match="amplitude"),
+        _case({"hurst": [0.3, 0.6], "c_tilde": [[_CT[0][0], False], [0.0, _CT[1][1]]]}, "c-tilde-mixed-bool-entries", argv=_FACTORIZE, match="amplitude"),
+        _case(_coeff_model(sigma=(1.0, True)), "mixed-bool-sigma", match="sigma"),
+        _case({"hurst": [0.3, 0.6], "c_tilde": _CT, "note": "x"}, "c-tilde-unknown-key", argv=_FACTORIZE, match="note"),
+        _case({"hurst": [0.3, 0.6]}, "c-tilde-missing", argv=_FACTORIZE, match="c_tilde"),
+        _case(_DUPLICATE_PAIR_KEY, "duplicate-pair-key", match="c_ij"),
+        _case(_DUPLICATE_TOP_LEVEL_KEY, "duplicate-top-level-key", argv=_COEFFS, match="a_plus"),
+        _case(_DUPLICATE_C_TILDE_KEY, "c-tilde-duplicate-key", argv=_FACTORIZE, match="c_tilde"),
         _case(_mixing_model(), "simulate-seed-negative", argv=(*_SIMULATE_SEED, "-1"), match="seed"),
         _case(_mixing_model(), "simulate-seed-2-64", argv=(*_SIMULATE_SEED, str(2**64)), match="seed"),
         _case(None, "verify-seed-negative", argv=("verify", "--seed", "-3"), match="seed"),
@@ -193,8 +219,8 @@ _C12 = {"i": 1, "j": 2, "c_ij": 0.1, "c_ji": 0.1}
     ],
 )
 def test_usage_error_exit_code(tmp_path, argv, content, error, match):
-    if content is not None:
-        (tmp_path / "in.json").write_text(json.dumps(content))  # NaN and Infinity are written as JSON extensions
+    if content is not None:  # NaN and Infinity are written as JSON extensions; a str is written as is
+        (tmp_path / "in.json").write_text(content if isinstance(content, str) else json.dumps(content))
     res = _run(*argv, cwd=tmp_path)
     assert res.returncode == 2, res.stderr
     assert len(res.stderr.splitlines()) == 1, res.stderr

@@ -1,11 +1,9 @@
 """Elementary kernel covariances: closed forms vs the quadrature oracle."""
 
-import math
-
 import numpy as np
 import pytest
 
-from vfbm import KernelKind, b_coeff, kernel_cov, quadrature_kernel_oracle
+from vfbm import KernelKind, kernel_cov, quadrature_kernel_oracle
 from vfbm.errors import NoConvergenceError
 
 # 40-digit quadrature references for the closed forms, frozen:
@@ -16,12 +14,6 @@ PM_CRIT_03_07_1_2 = -1.06895933211559511
 MP_03_06_m07_13 = -0.144745141814511736
 MM_045_025_m12_m04 = 0.71570654419080303
 BETA_08_11 = 1.1516221492895699343
-
-
-def test_b_coeff_switches_on_sign():
-    assert b_coeff(0.5, 0.3, +1.0) == pytest.approx(0.0, abs=1e-16)
-    assert b_coeff(0.5, 0.3, -1.0) == pytest.approx(math.cos(0.3 * math.pi), rel=1e-15)
-    assert b_coeff(0.2, 0.2, 2.0) == b_coeff(0.2, 0.2, -2.0)
 
 
 def test_kernel_cov_vanishes_at_time_zero():

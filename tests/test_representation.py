@@ -6,7 +6,6 @@ import pytest
 from vfbm import (
     KernelKind,
     MixingMatrices,
-    TildeC,
     alpha_products,
     assemble_via_kernels,
     causal_factorize,
@@ -92,14 +91,14 @@ def test_tilde_c_special_cases():
     hv = validate_hurst([0.3, 0.6])
     cos_h = np.diag(np.cos(np.pi * np.array([0.3, 0.6])))
     causal = MixingMatrices(a_plus=ap, a_minus=np.zeros((2, 2)), hurst=hv)
-    assert np.allclose(tilde_c(causal).c_tilde, cos_h @ ap @ ap.T, atol=1e-14)
+    assert np.allclose(tilde_c(causal), cos_h @ ap @ ap.T, atol=1e-14)
     anti = MixingMatrices(a_plus=np.zeros((2, 2)), a_minus=ap, hurst=hv)
-    assert np.allclose(tilde_c(anti).c_tilde, ap @ ap.T @ cos_h, atol=1e-14)
+    assert np.allclose(tilde_c(anti), ap @ ap.T @ cos_h, atol=1e-14)
 
 
 def test_causal_factorize_identity_case():
     hv = validate_hurst([0.3, 0.6])
-    ct = TildeC(c_tilde=np.diag(np.cos(np.pi * np.array([0.3, 0.6]))))
+    ct = np.diag(np.cos(np.pi * np.array([0.3, 0.6])))
     rec = causal_factorize(ct, hv)
     assert np.allclose(rec.a_plus, np.eye(2), atol=1e-14)
     assert not rec.a_minus.any()
@@ -109,13 +108,13 @@ def test_causal_factorize_rejections():
     hv = validate_hurst([0.3, 0.6])
     cos_h = np.cos(np.pi * np.array([0.3, 0.6]))
     with pytest.raises(InfeasibleFactorizationError) as exc:
-        causal_factorize(TildeC(c_tilde=cos_h[:, None] * np.array([[1.0, 0.8], [0.1, 1.0]])), hv)
+        causal_factorize(cos_h[:, None] * np.array([[1.0, 0.8], [0.1, 1.0]]), hv)
     assert exc.value.reason == "NotSymmetric"
     with pytest.raises(InfeasibleFactorizationError) as exc:
-        causal_factorize(TildeC(c_tilde=cos_h[:, None] * np.array([[1.0, 2.0], [2.0, 1.0]])), hv)
+        causal_factorize(cos_h[:, None] * np.array([[1.0, 2.0], [2.0, 1.0]]), hv)
     assert exc.value.reason == "NotPD"
     with pytest.raises(SingularCosineError) as exc:
-        causal_factorize(TildeC(c_tilde=np.eye(2)), validate_hurst([0.5, 0.6]))
+        causal_factorize(np.eye(2), validate_hurst([0.5, 0.6]))
     assert exc.value.index == 1
 
 

@@ -25,14 +25,14 @@ def test_cholesky_identity():
 def test_cholesky_brownian_grid():
     model = vfbm.CovarianceModel(validate_hurst([0.5]))
     cov = vfbm.cov_matrix(model, TimeGrid((1.0, 2.0, 3.0)))
-    low = cholesky_psd(cov)
+    low = cholesky_psd(cov.entries)
     assert np.allclose(low, [[1, 0, 0], [1, 1, 0], [1, 1, 1]], atol=1e-14)
 
 
 def test_cholesky_semidefinite_zero_row():
     model = vfbm.CovarianceModel(validate_hurst([0.5]))
     cov = vfbm.cov_matrix(model, TimeGrid((0.0, 1.0, 2.0)))
-    low = cholesky_psd(cov)
+    low = cholesky_psd(cov.entries)
     assert np.all(low[0] == 0.0)
     assert np.max(np.abs(low @ low.T - cov.entries)) <= 1e-8 * max(1.0, np.max(np.abs(cov.entries)))
 
@@ -48,7 +48,7 @@ def test_cholesky_reconstruction_accuracy():
         m = random_mixing(rng, 2, critical_pair=(k % 2 == 0), a_minus_scale=float(rng.uniform(0, 1.0)))
         model = vfbm.coeffs_from_mixing(m)
         cov = vfbm.cov_matrix(model, TimeGrid((-1.0, 0.0, 0.5, 2.0)))
-        low = cholesky_psd(cov)
+        low = cholesky_psd(cov.entries)
         norm = float(np.max(np.abs(cov.entries)))
         assert float(np.max(np.abs(low @ low.T - cov.entries))) <= 1e-8 * norm
 
@@ -72,7 +72,7 @@ def test_sample_paths_draws_one_default_rng_stream():
     grid = TimeGrid((0.0, 0.5, 1.0, 2.0))
     n, seed = 50, 2**64 - 1
     cov = vfbm.cov_matrix(model, grid)
-    expected = np.random.default_rng(seed).standard_normal((n, cov.dim)) @ cholesky_psd(cov).T
+    expected = np.random.default_rng(seed).standard_normal((n, cov.dim)) @ cholesky_psd(cov.entries).T
     assert np.array_equal(sample_paths(model, grid, n, seed).paths.reshape(n, -1), expected)
 
 
