@@ -71,7 +71,7 @@ def _fail(code: str, message: str, status: int) -> int:
 
 
 def _parse_grid(text: str) -> TimeGrid:
-    return TimeGrid(tuple(float(v) for v in text.split(",") if v.strip()))
+    return TimeGrid(tuple(float(v) for v in text.split(",")))
 
 
 def _cmd_validate(args) -> int:
@@ -101,13 +101,15 @@ def _cmd_factorize(args) -> int:
     obj = read_json(args.c_tilde)
     if isinstance(obj, dict):
         _known_keys(obj, _C_TILDE_FILE_KEYS, "the top level of the c_tilde file")
-        raw, file_hurst = obj.get("c_tilde"), obj.get("hurst")
+        raw, fields = obj.get("c_tilde"), obj
     else:  # a bare p x p list
-        raw, file_hurst = obj, None
-    if args.hurst:
-        hurst = validate_hurst([float(v) for v in args.hurst.split(",")])
-    else:
-        hurst = parse_hurst(file_hurst)
+        raw, fields = obj, {}
+    # the file's hurst is checked whenever it is given, and required without --hurst
+    flag = args.hurst is not None
+    file_hurst = parse_hurst(fields.get("hurst")) if "hurst" in fields or not flag else None
+    hurst = validate_hurst([float(v) for v in args.hurst.split(",")]) if flag else file_hurst
+    if file_hurst is not None and file_hurst != hurst:
+        raise ValueError(f"--hurst {list(hurst.h)} differs from the file's hurst {list(file_hurst.h)}")
     mixing = causal_factorize(_floats(raw, "amplitude matrix c_tilde", (hurst.p, hurst.p)), hurst)
     _emit(mixing_to_dict(mixing), args.out)
     return 0
@@ -160,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("factorize", help="recover a causal representation from an amplitude matrix")
     f.add_argument("--c-tilde", dest="c_tilde", required=True)
-    f.add_argument("--hurst", default=None, help="comma-separated exponents (else taken from the file)")
+    f.add_argument("--hurst", default=None, help="comma-separated exponents (else the file's; both must agree)")
     f.add_argument("--out", default=None)
     f.set_defaults(fn=_cmd_factorize)
 

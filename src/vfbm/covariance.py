@@ -28,13 +28,7 @@ from .errors import IndexOutOfRangeError
 from .kernels import _maybe_scalar, _xlogx, sign_coeff
 from .model import CovarianceModel, TimeGrid
 
-__all__ = [
-    "CovMatrix",
-    "cov_same",
-    "cov_pair",
-    "cov_matrix",
-    "write_cov_csv",
-]
+__all__ = ["cov_pair", "cov_matrix"]
 
 
 def cov_same(h_i: float, sigma_i: float, s, t):

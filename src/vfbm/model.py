@@ -35,21 +35,13 @@ from .errors import NearSingularPairError, NotPositiveDefiniteError, OutOfRangeE
 from .special import CRITICAL_TOL
 
 __all__ = [
-    "HurstVector",
     "CovarianceModel",
     "MixingMatrices",
     "TimeGrid",
-    "ValidationReport",
     "validate_hurst",
-    "critical_pairs",
     "validate_model",
     "ensure_valid",
     "load_model",
-    "read_json",
-    "parse_hurst",
-    "parse_model",
-    "model_to_dict",
-    "mixing_to_dict",
 ]
 
 # Sums with |H_i+H_j-1| in this open band are rejected: not exactly critical,

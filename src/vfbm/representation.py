@@ -42,8 +42,6 @@ from .model import CovarianceModel, HurstVector, MixingMatrices, critical_pairs
 from .special import beta, phi
 
 __all__ = [
-    "AlphaProducts",
-    "alpha_products",
     "sigma_from_mixing",
     "coeffs_from_mixing",
     "tilde_c",

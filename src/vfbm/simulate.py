@@ -32,10 +32,7 @@ from .model import CovarianceModel, MixingMatrices, TimeGrid, model_to_dict
 from .representation import sigma_from_mixing
 
 __all__ = [
-    "PathEnsemble",
     "McConfig",
-    "EmpiricalCovariance",
-    "McCovarianceTable",
     "cholesky_psd",
     "sample_paths",
     "mc_integral_oracle",

@@ -1,10 +1,7 @@
-"""Log-gamma, Beta and the Beta-over-sine normalization factor.
+"""Beta and the Beta-over-sine normalization factor.
 
-Everything here is plain scalar math on floats.  ``log_gamma`` uses the
-Lanczos approximation with the published g=7, n=9 coefficient set, which
-holds relative error near 1e-15 over the argument range this package ever
-produces (Beta arguments in (0.5, 2), sums below 4), comfortably inside
-the 1e-13 contract.
+Everything here is plain scalar math on floats; ``beta`` takes its
+log-gamma values from the standard library's ``math.lgamma``.
 """
 
 from __future__ import annotations
@@ -13,43 +10,10 @@ import math
 
 from .errors import CriticalRegimeError, DomainError
 
-__all__ = ["log_gamma", "beta", "phi", "CRITICAL_TOL"]
+__all__ = []
 
 # |h_i + h_j - 1| <= CRITICAL_TOL counts as exactly critical everywhere.
 CRITICAL_TOL = 1e-12
-
-# Lanczos g=7, n=9 coefficients (Godfrey's set, standard in GSL/Boost).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0.
-
-    Raises DomainError for x <= 0.
-    """
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for k in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
 def beta(x: float, y: float) -> float:
@@ -59,7 +23,7 @@ def beta(x: float, y: float) -> float:
     """
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"beta requires positive arguments, got ({x!r}, {y!r})")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
 def phi(h_i: float, h_j: float) -> float:

@@ -148,10 +148,12 @@ def _mixing_model(a_plus=((1.0, 0.5), (0.0, 1.0)), a_minus=((0.0, 0.0), (0.0, 0.
 # case's content (no file when the content is None).
 _VALIDATE = ("validate", "--model", "in.json")
 _FACTORIZE = ("factorize", "--c-tilde", "in.json")
+_FACTORIZE_FLAG = (*_FACTORIZE, "--hurst", "0.3,0.6")
 _SIMULATE_SEED = ("simulate", "--model", "in.json", "--grid", "0.5,1", "--n", "2", "--out", "paths.csv", "--seed")
 # 10**12 paths cannot be allocated, so the request fails at once
 _SIMULATE_HUGE = ("simulate", "--model", "in.json", "--grid", "0.5,1", "--n", str(10**12), "--out", "paths.csv")
 _COV_OVERFLOW = ("cov", "--model", "in.json", "--grid", "0.5,1,1e308", "--out", "cov.csv")
+_COV_EMPTY_FIELD = ("cov", "--model", "in.json", "--grid", "0.5,,1, ", "--out", "cov.csv")
 _COEFFS = ("coeffs", "--mixing", "in.json")
 
 
@@ -216,6 +218,12 @@ _DUPLICATE_C_TILDE_KEY = f'{{"hurst": [0.3, 0.6], "c_tilde": [[1.0, 0.0], [0.0, 
         _case(_coeff_model(pairs=[{**_C12, "weight": 2.0}]), "unknown-pair-key", match="weight"),
         _case(_coeff_model(hurst=(0.3, 0.7)), "cov-grid-overflow", argv=_COV_OVERFLOW, match="grid"),
         _case(_mixing_model(), "simulate-out-of-memory", error="MemoryError", argv=_SIMULATE_HUGE),
+        _case(_coeff_model(), "cov-grid-empty-field", argv=_COV_EMPTY_FIELD, match="float"),
+        _case({"hurst": "junk", "c_tilde": _CT}, "c-tilde-junk-hurst-with-flag", argv=_FACTORIZE_FLAG, match="hurst"),
+        _case({"hurst": [0.3, 0.7], "c_tilde": _CT}, "c-tilde-hurst-disagrees-with-flag", argv=_FACTORIZE_FLAG,
+              match="differs from the file's hurst [0.3, 0.7]"),
+        _case({"hurst": [0.3, 0.6], "c_tilde": _CT}, "c-tilde-empty-hurst-flag", argv=(*_FACTORIZE, "--hurst", ""),
+              match="float"),
     ],
 )
 def test_usage_error_exit_code(tmp_path, argv, content, error, match):

@@ -11,10 +11,10 @@ from vfbm import (
     TimeGrid,
     cov_matrix,
     cov_pair,
-    cov_same,
     sign_coeff,
     validate_hurst,
 )
+from vfbm.covariance import cov_same
 from vfbm.errors import IndexOutOfRangeError
 from vfbm.verify import random_mixing
 
@@ -195,7 +195,7 @@ def test_cov_csv_roundtrip(tmp_path):
     grid = TimeGrid((0.5, 1.0))
     cov = cov_matrix(model, grid)
     path = tmp_path / "cov.csv"
-    vfbm.write_cov_csv(cov, path)
+    vfbm.covariance.write_cov_csv(cov, path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == (2 * 2) ** 2

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vfbm
-from vfbm import CovarianceModel, TimeGrid, critical_pairs, validate_hurst, validate_model
+from vfbm import CovarianceModel, TimeGrid, validate_hurst, validate_model
 from vfbm.errors import NearSingularPairError, NotPositiveDefiniteError, OutOfRangeError, VfbmError
+from vfbm.model import critical_pairs
 from vfbm.verify import random_mixing
 
 
@@ -120,7 +121,7 @@ def test_time_grid_invariants():
 def test_model_pair_lookup_bounds():
     for i, j in ((1, 3), (0, 2), (2, 2)):
         with pytest.raises(ValueError):
-            vfbm.parse_model(
+            vfbm.model.parse_model(
                 {"hurst": [0.3, 0.6], "coefficients": {"pairs": [{"i": i, "j": j, "c_ij": 0.1, "c_ji": 0.0}]}}
             )
 
@@ -135,7 +136,7 @@ def test_model_json_roundtrip(tmp_path):
     )
     path = tmp_path / "model.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vfbm.model_to_dict(model), fh)
+        json.dump(vfbm.model.model_to_dict(model), fh)
     back = vfbm.load_model(path)
     assert back.hurst.h == model.hurst.h
     assert np.array_equal(back.sigma, model.sigma)
@@ -159,11 +160,11 @@ def test_load_model_converts_mixing_files(tmp_path):
 
 def test_parse_model_rejects_wrong_coefficient_style():
     with pytest.raises(ValueError):
-        vfbm.parse_model(
+        vfbm.model.parse_model(
             {"hurst": [0.3, 0.7], "coefficients": {"sigma": [1, 1], "pairs": [{"i": 1, "j": 2, "c_ij": 0.1, "c_ji": 0.0}]}}
         )
     with pytest.raises(ValueError):
-        vfbm.parse_model(
+        vfbm.model.parse_model(
             {"hurst": [0.3, 0.6], "coefficients": {"sigma": [1, 1], "pairs": [{"i": 1, "j": 2, "d_ij": 0.1, "f_ij": 0.0}]}}
         )
 
@@ -174,7 +175,7 @@ def test_parse_model_maps_reversed_orientation():
 
     def cov(hurst, entry):
         obj = {"hurst": hurst, "coefficients": {"sigma": [1.0, 2.0], "pairs": [entry]}}
-        return vfbm.cov_matrix(vfbm.parse_model(obj), grid).entries
+        return vfbm.cov_matrix(vfbm.model.parse_model(obj), grid).entries
 
     a, b, d, g = 0.3, -0.1, 0.4, 0.15
     assert np.array_equal(
@@ -199,7 +200,7 @@ def _models(draw):
         hurst = validate_hurst(h)
     except NearSingularPairError:
         hurst = validate_hurst([0.3, 0.7, 0.55, 0.6][:p])
-    critical = vfbm.critical_pairs(hurst)
+    critical = vfbm.model.critical_pairs(hurst)
     sigma = draw(st.lists(st.floats(1e-300, 1e300), min_size=p, max_size=p))
     c = np.eye(p)
     f = np.zeros((p, p))
@@ -217,7 +218,7 @@ def _models(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_models())
 def test_model_dict_roundtrip_is_bit_exact(model):
-    back = vfbm.parse_model(json.loads(json.dumps(vfbm.model_to_dict(model))))
+    back = vfbm.model.parse_model(json.loads(json.dumps(vfbm.model.model_to_dict(model))))
     assert back.hurst == model.hurst
     for name in ("sigma", "c", "f"):
         assert getattr(back, name).tobytes() == getattr(model, name).tobytes(), name
@@ -266,7 +267,7 @@ _model_dicts = st.fixed_dictionaries(
 def test_parse_model_raises_only_reported_errors(obj):
     # cli.main turns exactly these types into one JSON line on stderr
     try:
-        vfbm.parse_model(obj)
+        vfbm.model.parse_model(obj)
     except (VfbmError, ValueError, KeyError):
         pass
 
@@ -278,14 +279,14 @@ _KNOWN_KEYS = ["hurst", "coefficients", "a_plus", "a_minus", "sigma", "pairs", "
 def _model_dict_with_a_key_renamed(draw):
     """A valid model dict, coefficient or mixing form, with one key at any level renamed."""
     if draw(st.booleans()):
-        obj = vfbm.model_to_dict(draw(_models()))
+        obj = vfbm.model.model_to_dict(draw(_models()))
     else:
         p = draw(st.integers(1, 3))
         matrix = st.lists(st.lists(st.floats(-10, 10), min_size=p, max_size=p), min_size=p, max_size=p)
         obj = {"hurst": [0.3, 0.6, 0.55][:p], "a_plus": draw(matrix)}
         if draw(st.booleans()):
             obj["a_minus"] = draw(matrix)  # optional: a mixing file without it is causal
-    vfbm.parse_model(obj)  # valid before the rename
+    vfbm.model.parse_model(obj)  # valid before the rename
     levels = [obj]
     if "coefficients" in obj:
         levels += [obj["coefficients"], *obj["coefficients"]["pairs"]]
@@ -301,4 +302,4 @@ def _model_dict_with_a_key_renamed(draw):
 def test_parse_model_rejects_any_renamed_key(obj):
     # no key may be silently dropped or defaulted: a misspelled key never yields a model
     with pytest.raises((VfbmError, ValueError, KeyError)):
-        vfbm.parse_model(obj)
+        vfbm.model.parse_model(obj)

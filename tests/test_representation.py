@@ -6,7 +6,6 @@ import pytest
 from vfbm import (
     KernelKind,
     MixingMatrices,
-    alpha_products,
     assemble_via_kernels,
     causal_factorize,
     coeffs_from_mixing,
@@ -17,6 +16,7 @@ from vfbm import (
     validate_hurst,
 )
 from vfbm.errors import DegenerateComponentError, InfeasibleFactorizationError, SingularCosineError
+from vfbm.representation import alpha_products
 
 SIGMA_SQ_H03 = 1.8750709111678687222  # B(0.8,0.8)/sin(0.3 pi), 40-digit reference
 

@@ -105,11 +105,11 @@ def test_sample_paths_matches_analytic_covariance():
 
 def test_empirical_cov_trivial_cases():
     grid = TimeGrid((1.0,))
-    zeros = vfbm.PathEnsemble(paths=np.zeros((5, 1, 2)), grid=grid, seed=0, model_hash="x")
+    zeros = vfbm.simulate.PathEnsemble(paths=np.zeros((5, 1, 2)), grid=grid, seed=0, model_hash="x")
     emp = empirical_cov(zeros)
     assert not emp.cov.any() and not emp.se.any()
 
-    two = vfbm.PathEnsemble(paths=np.array([[[1.0, 0.0]], [[3.0, 4.0]]]), grid=grid, seed=0, model_hash="x")
+    two = vfbm.simulate.PathEnsemble(paths=np.array([[[1.0, 0.0]], [[3.0, 4.0]]]), grid=grid, seed=0, model_hash="x")
     emp2 = empirical_cov(two)
     # hand-computed 2-sample covariance: centered values +-1 and +-2
     assert emp2.cov[0, 0] == pytest.approx(2.0)
@@ -117,7 +117,7 @@ def test_empirical_cov_trivial_cases():
     assert emp2.cov[1, 1] == pytest.approx(8.0)
 
     with pytest.raises(ValueError):
-        empirical_cov(vfbm.PathEnsemble(paths=np.zeros((1, 1, 2)), grid=grid, seed=0, model_hash="x"))
+        empirical_cov(vfbm.simulate.PathEnsemble(paths=np.zeros((1, 1, 2)), grid=grid, seed=0, model_hash="x"))
 
 
 def test_mc_config_validation():

@@ -1,4 +1,4 @@
-"""Special-function contracts: log-gamma, Beta, and the Beta-over-sine factor."""
+"""Special-function contracts: Beta and the Beta-over-sine factor."""
 
 import math
 
@@ -6,44 +6,29 @@ import mpmath
 import pytest
 from scipy import integrate
 
-from vfbm import beta, log_gamma, phi
 from vfbm.errors import CriticalRegimeError, DomainError
+from vfbm.special import beta, phi
 
 # 40-digit references (mpmath), frozen:
 BETA_08_11 = 1.1516221492895699343  # B(0.8, 1.1)
 BETA_075_075 = 1.6944261695879581732  # B(0.75, 0.75)
 PHI_03_06 = 3.7267275594954594489  # B(0.8,1.1)/sin(0.9 pi)
-LGAMMA_HALF = 0.57236494292470008707  # log sqrt(pi)
-
-
-def test_log_gamma_trivial_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(0.5) == pytest.approx(LGAMMA_HALF, rel=1e-14)
-
-
-def test_log_gamma_matches_high_precision_on_working_range():
-    # |log error| equals the relative error of Gamma itself, which stays
-    # meaningful across the zeros of log-gamma at x = 1 and x = 2
-    mpmath.mp.dps = 30
-    x = 0.5
-    while x <= 3.0:
-        ref = float(mpmath.loggamma(x))
-        got = log_gamma(x)
-        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), f"x={x}: {got} vs {ref}"
-        x += 0.01
-
-
-def test_log_gamma_domain():
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-1.3)
 
 
 def test_beta_trivial_values():
     assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
     assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)
+
+
+def test_beta_matches_high_precision_on_working_range():
+    # Beta's arguments are H + 1/2 with H in (0, 1): a grid over [0.5, 1.5]^2
+    mpmath.mp.dps = 30
+    grid = [0.5 + 0.05 * k for k in range(21)]
+    for x in grid:
+        for y in grid:
+            ref = float(mpmath.beta(x, y))
+            got = beta(x, y)
+            assert abs(got - ref) <= 1e-13 * ref, f"B({x}, {y}): {got} vs {ref}"
 
 
 def test_beta_against_quadrature_oracle():
