@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covariance import cov_matrix, write_cov_csv
+from .covariance import cov_matrix
 from .errors import VfbmError
 from .model import (
     MixingMatrices,
@@ -65,6 +65,24 @@ def _emit(obj: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _grid_labels(grid: TimeGrid, p: int) -> list[str]:
+    """The `time,component` CSV text of each grid point, in (time, component) order."""
+    return [f"{t:.17g},{c}" for t in grid.times for c in range(1, p + 1)]
+
+
+def _write_csv(path: str | Path, header: str, labels: list[str], rows) -> None:
+    """Write the header, then a `key,label,value` line per value of each (key, block) of
+    rows, one write per block; values have 17 significant digits, so they read back exactly."""
+
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for key, block in rows:
+                fh.write("".join([f"{key},{label},{x:.17g}\n" for label, x in zip(labels, block.tolist())]))
+
+    _atomic_write(path, write)
+
+
 def _fail(code: str, message: str, status: int) -> int:
     sys.stderr.write(json.dumps({"error": code, "message": message}) + "\n")
     return status
@@ -90,8 +108,10 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_cov(args) -> int:
     model = ensure_valid(load_model(args.model))
-    cov = cov_matrix(model, _parse_grid(args.grid))
-    _atomic_write(args.out, lambda tmp: write_cov_csv(cov, tmp))
+    grid = _parse_grid(args.grid)
+    cov = cov_matrix(model, grid)
+    labels = _grid_labels(grid, model.p)
+    _write_csv(args.out, "t_k,i,t_l,j,value", labels, zip(labels, cov.entries))
     lambda_min = float(np.linalg.eigvalsh(cov.entries)[0])
     sys.stdout.write(json.dumps({"lambda_min": lambda_min, "dim": cov.dim, "out": args.out}) + "\n")
     return 0
@@ -119,15 +139,8 @@ def _cmd_simulate(args) -> int:
     model = ensure_valid(load_model(args.model))
     grid = _parse_grid(args.grid)
     ens = sample_paths(model, grid, args.n, args.seed)
-
-    def write_csv(tmp):  # one write per path, so the whole table is never held as text
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("rep,time,component,value\n")
-            for r, path in enumerate(ens.paths):
-                values = zip(grid.times, path.tolist())
-                fh.write("".join(f"{r},{t:.17g},{c},{x:.17g}\n" for t, row in values for c, x in enumerate(row, 1)))
-
-    _atomic_write(args.out, write_csv)
+    rows = enumerate(ens.paths.reshape(ens.n_paths, -1))  # one block per path
+    _write_csv(args.out, "rep,time,component,value", _grid_labels(grid, model.p), rows)
     sys.stdout.write(
         json.dumps({"n": ens.n_paths, "seed": ens.seed, "model_hash": ens.model_hash, "out": args.out}) + "\n"
     )

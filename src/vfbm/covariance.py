@@ -19,8 +19,8 @@ process over a time grid, ordered (time, component) lexicographically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -57,14 +57,31 @@ def cov_pair(model: CovarianceModel, i: int, j: int, s, t):
 
     with d_ij = model.c[i-1, j-1] and f_ij = model.f[i-1, j-1].  Queries
     against the transposed orientation (i > j) evaluate (j, i) at swapped
-    times, which is the exact exchange identity of the formulas.
+    times, which is the exact exchange identity of the formulas.  A value
+    that is not finite (times too large for the exponents) raises ValueError
+    naming the first such entry.
     """
     p = model.p
     if not (1 <= i <= p) or not (1 <= j <= p):
         raise IndexOutOfRangeError(f"component indices ({i},{j}) out of range for p = {p}")
     if i > j:
         return cov_pair(model, j, i, t, s)
-    i, j = i - 1, j - 1
+    val = _cov_upper(model, i - 1, j - 1, s, t)
+    # math.isfinite for a float: verify makes thousands of scalar calls, and
+    # np.isfinite costs a few microseconds on each
+    if not (math.isfinite(val) if isinstance(val, float) else np.isfinite(val).all()):
+        s, t, val = np.broadcast_arrays(s, t, val)
+        k = int(np.argmin(np.isfinite(val)))  # the first non-finite entry, in C order
+        raise ValueError(
+            f"the covariance on this grid is not finite: E X_{i}({s.flat[k]:g}) X_{j}({t.flat[k]:g}) "
+            f"= {val.flat[k]}"
+        )
+    return val
+
+
+@np.errstate(over="ignore", invalid="ignore")  # cov_pair raises on a non-finite value instead
+def _cov_upper(model: CovarianceModel, i: int, j: int, s, t):
+    """E X_i(s) X_j(t) for 0-based i <= j, as a float or an array."""
     h_i, sigma_i = model.hurst[i], float(model.sigma[i])
     if i == j:
         return cov_same(h_i, sigma_i, s, t)
@@ -90,8 +107,6 @@ class CovMatrix:
     """Joint covariance over a grid; row index = time_index * p + (component-1)."""
 
     entries: np.ndarray
-    grid: TimeGrid
-    p: int
 
     @property
     def dim(self) -> int:
@@ -102,41 +117,18 @@ def cov_matrix(model: CovarianceModel, grid: TimeGrid) -> CovMatrix:
     """Assemble the (n p) x (n p) covariance of the process on the grid.
 
     Entry ((k,i),(l,j)) equals E X_i(t_k) X_j(t_l); the result is symmetric
-    by construction.  An entry that overflows (times too large for the
-    exponents) raises ValueError naming its grid times.
+    by construction.  An entry that is not finite raises ValueError from
+    ``cov_pair``.
     """
     p = model.p
     times = np.asarray(grid.times)
     s = times[:, None]
     t = times[None, :]
     m = np.empty((grid.n * p, grid.n * p))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, p + 1):
-            for j in range(i, p + 1):
-                block = np.asarray(cov_pair(model, i, j, s, t))
-                m[i - 1 :: p, j - 1 :: p] = block
-                if i != j:
-                    m[j - 1 :: p, i - 1 :: p] = block.T
-    bad = np.argwhere(~np.isfinite(m))
-    if bad.size:
-        (k, i), (l, j) = divmod(int(bad[0, 0]), p), divmod(int(bad[0, 1]), p)
-        raise ValueError(
-            f"the covariance on this grid is not finite: E X_{i + 1}({times[k]:g}) X_{j + 1}({times[l]:g}) "
-            f"= {m[bad[0, 0], bad[0, 1]]}"
-        )
-    return CovMatrix(entries=m, grid=grid, p=p)
-
-
-def write_cov_csv(cov: CovMatrix, path: str | Path) -> None:
-    """Emit all entries as CSV rows `t_k,i,t_l,j,value` in deterministic order."""
-    times = cov.grid.times
-    p = cov.p
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t_k,i,t_l,j,value\n")
-        for k, t_k in enumerate(times):
-            for i in range(1, p + 1):
-                for l, t_l in enumerate(times):
-                    for j in range(1, p + 1):
-                        fh.write(
-                            f"{t_k:.17g},{i},{t_l:.17g},{j},{cov.entries[k * p + i - 1, l * p + j - 1]:.17g}\n"
-                        )
+    for i in range(1, p + 1):
+        for j in range(i, p + 1):
+            block = np.asarray(cov_pair(model, i, j, s, t))
+            m[i - 1 :: p, j - 1 :: p] = block
+            if i != j:
+                m[j - 1 :: p, i - 1 :: p] = block.T
+    return CovMatrix(entries=m)

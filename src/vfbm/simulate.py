@@ -61,7 +61,6 @@ class PathEnsemble:
     """N sampled skeletons of the p-variate process on a common grid."""
 
     paths: np.ndarray  # shape (N, n_times, p)
-    grid: TimeGrid
     seed: int
     model_hash: str
 
@@ -95,7 +94,6 @@ class EmpiricalCovariance:
 
     cov: np.ndarray
     se: np.ndarray
-    n: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +102,6 @@ class McCovarianceTable:
 
     cov: np.ndarray
     se: np.ndarray
-    grid: TimeGrid
-    p: int
     n_reps: int
 
 
@@ -114,7 +110,8 @@ def cholesky_psd(c: np.ndarray) -> np.ndarray:
 
     Zero (or numerically zero) pivots produce zero columns instead of
     failing, so grids containing t = 0 factor cleanly.  A pivot below
-    -1e-10 ||C||_inf raises NotPsdError.
+    -1e-10 ||C||_inf raises NotPsdError, and so does a skipped pivot whose
+    column below it is not zero to within 1e-6 ||C||_inf.
     """
     a = np.asarray(c, dtype=float)  # only read below, so not copied
     n = a.shape[0]
@@ -127,7 +124,13 @@ def cholesky_psd(c: np.ndarray) -> np.ndarray:
         if pivot < -_PIVOT_TOL * norm:
             raise NotPsdError(pivot)
         if pivot <= _ZERO_TOL * norm:
-            continue  # semidefinite direction: leave the column zero
+            # semidefinite direction: leave the column zero.  If C is PSD, so is
+            # its Schur complement S, and |S_ik| <= sqrt(S_kk S_ii) <= sqrt(ZERO_TOL) ||C||_inf
+            # (Cauchy-Schwarz); a larger entry in the rest of the column means C is not.
+            residual = a[k + 1 :, k] - low[k + 1 :, :k] @ low[k, :k]
+            if residual.size and float(np.max(np.abs(residual))) > math.sqrt(_ZERO_TOL) * norm:
+                raise NotPsdError(pivot)
+            continue
         low[k, k] = math.sqrt(pivot)
         if k + 1 < n:
             low[k + 1 :, k] = (a[k + 1 :, k] - low[k + 1 :, :k] @ low[k, :k]) / low[k, k]
@@ -156,9 +159,7 @@ def sample_paths(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -> P
     digest = hashlib.sha256(
         json.dumps(model_to_dict(model), sort_keys=True).encode("utf-8")
     ).hexdigest()
-    return PathEnsemble(
-        paths=flat.reshape(n, grid.n, model.p), grid=grid, seed=seed, model_hash=digest
-    )
+    return PathEnsemble(paths=flat.reshape(n, grid.n, model.p), seed=seed, model_hash=digest)
 
 
 def empirical_cov(e: PathEnsemble) -> EmpiricalCovariance:
@@ -171,7 +172,7 @@ def empirical_cov(e: PathEnsemble) -> EmpiricalCovariance:
     cov = centered.T @ centered / (n - 1)
     mu22 = (centered**2).T @ (centered**2) / n
     se = np.sqrt(np.maximum(mu22 - cov**2, 0.0) / n)
-    return EmpiricalCovariance(cov=cov, se=se, n=n)
+    return EmpiricalCovariance(cov=cov, se=se)
 
 
 # ---------------------------------------------------------------------------
@@ -263,4 +264,4 @@ def mc_integral_oracle(m: MixingMatrices, grid: TimeGrid, cfg: McConfig) -> McCo
     sq = x**2
     var = np.maximum(sq.T @ sq / cfg.n_reps - mean**2, 0.0)
     se = np.sqrt(var / cfg.n_reps)
-    return McCovarianceTable(cov=mean, se=se, grid=grid, p=p, n_reps=cfg.n_reps)
+    return McCovarianceTable(cov=mean, se=se, n_reps=cfg.n_reps)

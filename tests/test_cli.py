@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, artifacts, idempotence."""
 
+import ast
 import hashlib
 import json
 import math
@@ -107,6 +108,45 @@ def test_simulate_idempotent_and_inputs_untouched(tmp_path, mixing_file):
     header, first = out1.read_text().splitlines()[:2]
     assert header == "rep,time,component,value"
     assert first.startswith("0,0.5,1,")
+
+
+def test_simulate_csv_rows_match_sample_paths(tmp_path, mixing_file):
+    grid, n, seed = (0.0, 0.5, 1.0, 2.5), 7, 11
+    out = tmp_path / "paths.csv"
+    res = _run("simulate", "--model", str(mixing_file), "--grid", "0,0.5,1,2.5", "--n", str(n),
+               "--seed", str(seed), "--out", str(out), cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    paths = vfbm.sample_paths(vfbm.load_model(mixing_file), vfbm.TimeGrid(grid), n, seed).paths
+    header, *rows = out.read_text().splitlines()
+    assert header == "rep,time,component,value"
+    assert len(rows) == paths.size
+    for line, (r, k, c) in zip(rows, np.ndindex(paths.shape)):
+        rep, time, component, value = line.split(",")
+        assert (int(rep), float(time), int(component)) == (r, grid[k], c + 1)
+        assert float(value) == paths[r, k, c]  # 17 digits round-trips
+
+
+def test_only_the_cli_opens_files_for_writing():
+    # a call that opens a file for writing: open() with a mode other than "r"/"rb",
+    # Path.write_text/write_bytes, os.open, or a tempfile call
+    def writes(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        owner = getattr(func.value, "id", "") if isinstance(func, ast.Attribute) else ""
+        if name == "open" and owner != "os":
+            modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            return any(not (isinstance(m, ast.Constant) and m.value in ("r", "rb")) for m in modes)
+        return name in ("write_text", "write_bytes") or (owner, name) == ("os", "open") or owner == "tempfile"
+
+    package = Path(vfbm.__file__).resolve().parent
+    writers = {
+        path.name
+        for path in package.glob("*.py")
+        if any(writes(node) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert writers == {"cli.py"}
 
 
 def test_factorize_infeasible_exit_code(tmp_path):

@@ -1,11 +1,13 @@
 """Closed-form covariance identities, dispatch, and grid assembly."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
 import vfbm
+import vfbm.cli
 from vfbm import (
     CovarianceModel,
     TimeGrid,
@@ -16,6 +18,7 @@ from vfbm import (
 )
 from vfbm.covariance import cov_same
 from vfbm.errors import IndexOutOfRangeError
+from vfbm.model import model_to_dict
 from vfbm.verify import random_mixing
 
 # frozen 40-digit reference: 2*(1.5^1.4 + 0.5^1.4 - 2^1.4)/... for sigma=2
@@ -190,12 +193,23 @@ def test_cov_matrix_entry_order():
                     )
 
 
-def test_cov_csv_roundtrip(tmp_path):
+def test_cov_pair_raises_on_a_value_that_is_not_finite():
+    # (1e308)^1 log(1e308) overflows; the error names the entry (a RuntimeWarning
+    # on the way fails the test, since the test configuration turns warnings into errors)
+    model = _critical_model(0.1, 0.2)
+    with pytest.raises(ValueError, match=r"not finite: E X_1\(1e\+308\) X_2\(0\.5\) = nan"):
+        cov_pair(model, 1, 2, 1e308, 0.5)
+    with pytest.raises(ValueError, match=r"not finite: E X_1\(0\.5\) X_2\(1e\+308\)"):
+        cov_pair(model, 1, 2, np.array([0.5, 1.0]), np.array([[1.0], [1e308]]))
+
+
+def test_cov_csv_roundtrip(tmp_path, capsys):
     model = _general_model(0.3, 0.1)
     grid = TimeGrid((0.5, 1.0))
     cov = cov_matrix(model, grid)
-    path = tmp_path / "cov.csv"
-    vfbm.covariance.write_cov_csv(cov, path)
+    model_path, path = tmp_path / "model.json", tmp_path / "cov.csv"
+    model_path.write_text(json.dumps(model_to_dict(model)))
+    assert vfbm.cli.main(["cov", "--model", str(model_path), "--grid", "0.5,1", "--out", str(path)]) == 0
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == (2 * 2) ** 2

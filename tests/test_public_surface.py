@@ -68,7 +68,6 @@ _MODULE_ONLY = {
     "alpha_products",
     "CovMatrix",
     "cov_same",
-    "write_cov_csv",
     "PathEnsemble",
     "EmpiricalCovariance",
     "McCovarianceTable",

@@ -42,6 +42,18 @@ def test_cholesky_rejects_indefinite():
         cholesky_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0.0, 1.0], [1.0, 1.0]],  # eigenvalues -0.618 and 1.618
+        [[1.0, 0.0, 0.5], [0.0, 0.0, 0.3], [0.5, 0.3, 1.0]],
+    ],
+)
+def test_cholesky_rejects_a_zero_pivot_with_a_nonzero_column(matrix):
+    with pytest.raises(NotPsdError):
+        cholesky_psd(np.array(matrix))
+
+
 def test_cholesky_reconstruction_accuracy():
     rng = np.random.default_rng(31)
     for k in range(5):
@@ -76,6 +88,21 @@ def test_sample_paths_draws_one_default_rng_stream():
     assert np.array_equal(sample_paths(model, grid, n, seed).paths.reshape(n, -1), expected)
 
 
+def test_sample_paths_rank_deficient_beyond_time_zero():
+    # c_12 = c_21 = 1 with equal exponents gives R = [[1, 1], [1, 1]] (lambda_min = 0),
+    # so X_1 = X_2 and the grid covariance is singular on every row, not only at t = 0
+    model = vfbm.ensure_valid(
+        vfbm.CovarianceModel(validate_hurst([0.4, 0.4]), sigma=[1.0, 1.0], c=[[1.0, 1.0], [1.0, 1.0]])
+    )
+    grid = TimeGrid((0.0, 0.5, 1.0, 2.0))
+    cov = vfbm.cov_matrix(model, grid)
+    low = cholesky_psd(cov.entries)
+    norm = float(np.max(np.abs(cov.entries)))
+    assert float(np.max(np.abs(low @ low.T - cov.entries))) <= 1e-8 * norm
+    paths = sample_paths(model, grid, 200, seed=4).paths
+    assert float(np.max(np.abs(paths[:, :, 0] - paths[:, :, 1]))) <= 1e-12
+
+
 def test_random_mixing_propagates_unexpected_errors(monkeypatch):
     # only a degenerate component is redrawn; any other error must surface, not loop
     real = vfbm.verify.sigma_from_mixing
@@ -104,12 +131,11 @@ def test_sample_paths_matches_analytic_covariance():
 
 
 def test_empirical_cov_trivial_cases():
-    grid = TimeGrid((1.0,))
-    zeros = vfbm.simulate.PathEnsemble(paths=np.zeros((5, 1, 2)), grid=grid, seed=0, model_hash="x")
+    zeros = vfbm.simulate.PathEnsemble(paths=np.zeros((5, 1, 2)), seed=0, model_hash="x")
     emp = empirical_cov(zeros)
     assert not emp.cov.any() and not emp.se.any()
 
-    two = vfbm.simulate.PathEnsemble(paths=np.array([[[1.0, 0.0]], [[3.0, 4.0]]]), grid=grid, seed=0, model_hash="x")
+    two = vfbm.simulate.PathEnsemble(paths=np.array([[[1.0, 0.0]], [[3.0, 4.0]]]), seed=0, model_hash="x")
     emp2 = empirical_cov(two)
     # hand-computed 2-sample covariance: centered values +-1 and +-2
     assert emp2.cov[0, 0] == pytest.approx(2.0)
@@ -117,7 +143,7 @@ def test_empirical_cov_trivial_cases():
     assert emp2.cov[1, 1] == pytest.approx(8.0)
 
     with pytest.raises(ValueError):
-        empirical_cov(vfbm.simulate.PathEnsemble(paths=np.zeros((1, 1, 2)), grid=grid, seed=0, model_hash="x"))
+        empirical_cov(vfbm.simulate.PathEnsemble(paths=np.zeros((1, 1, 2)), seed=0, model_hash="x"))
 
 
 def test_mc_config_validation():
