@@ -72,13 +72,19 @@ def _grid_labels(grid: TimeGrid, p: int) -> list[str]:
 
 def _write_csv(path: str | Path, header: str, labels: list[str], rows) -> None:
     """Write the header, then a `key,label,value` line per value of each (key, block) of
-    rows, one write per block; values have 17 significant digits, so they read back exactly."""
+    rows, one write per block; values have 17 significant digits, so they read back exactly.
+
+    Each block is written through one %-format template, the `key,` prefix joined with
+    the `label,%.17g` line tails built once per table; the bytes are those of
+    f"{key},{label},{x:.17g}" line by line.  Keys and labels are number text, free of `%`."""
+    tails = [f"{label},%.17g\n" for label in labels]
 
     def write(tmp):
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
             for key, block in rows:
-                fh.write("".join([f"{key},{label},{x:.17g}\n" for label, x in zip(labels, block.tolist())]))
+                prefix = f"{key},"
+                fh.write((prefix + prefix.join(tails)) % tuple(block.tolist()))
 
     _atomic_write(path, write)
 

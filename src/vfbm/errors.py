@@ -110,13 +110,28 @@ class InfeasibleFactorizationError(VfbmError):
 
 
 class NotPsdError(VfbmError):
-    """A grid covariance matrix has a significantly negative pivot / eigenvalue."""
+    """A grid covariance matrix is not positive semidefinite.
+
+    Either the pivot at ``row`` is significantly negative, or it is zero to
+    within tolerance and skipped while the rest of its column is not zero:
+    then ``residual`` is the largest entry of that column, at
+    ``residual_row``, and ``bound`` the Cauchy-Schwarz bound it exceeds.
+    """
 
     code = "NotPSD"
 
-    def __init__(self, pivot: float):
+    def __init__(self, pivot: float, row: int, residual_row: int | None = None,
+                 residual: float | None = None, bound: float | None = None):
         self.pivot = pivot
-        super().__init__(f"covariance matrix not positive semidefinite (pivot {pivot:.6e})")
+        self.row = row
+        self.residual_row = residual_row
+        self.residual = residual
+        self.bound = bound
+        msg = f"covariance matrix not positive semidefinite (pivot {pivot:.6e} at row {row}"
+        if residual is not None:
+            msg += (f", skipped as zero, but its column has {residual:.6e} at row {residual_row}"
+                    f", above the bound {bound:.6e}")
+        super().__init__(msg + ")")
 
 
 class NoConvergenceError(VfbmError):

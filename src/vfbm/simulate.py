@@ -2,7 +2,10 @@
 
 ``sample_paths`` draws exact Gaussian skeletons of the vector process by
 Cholesky factorization of the grid covariance (semidefinite pivots, e.g.
-the identically-zero row at grid time 0, are skipped).  ``mc_integral_oracle``
+the identically-zero row at grid time 0, are skipped).  ``cholesky_psd`` is
+a blocked right-looking factorization in diagonal blocks of 128 rows, done
+in place on one copy of the matrix: LAPACK factors each block unless the
+block holds a zero pivot, which a column loop then skips.  ``mc_integral_oracle``
 instead simulates the moving-average construction directly: the stochastic
 integral is discretized by a midpoint Riemann sum on a truncated domain with
 local refinement around the kernel singularities, giving an end-to-end
@@ -39,10 +42,12 @@ __all__ = [
     "empirical_cov",
 ]
 
-# pivots below -PIVOT_TOL * ||C||_inf fail; |pivot| <= ZERO_TOL * ||C||_inf is
+# pivots below -PIVOT_TOL * max|C_ij| fail; |pivot| <= ZERO_TOL * max|C_ij| is
 # treated as an exactly semidefinite direction and skipped.
 _PIVOT_TOL = 1e-10
 _ZERO_TOL = 1e-12
+# rows per diagonal block of cholesky_psd
+_BLOCK = 128
 
 
 def check_seed(seed: int) -> int:
@@ -109,32 +114,75 @@ def cholesky_psd(c: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L* = C for symmetric positive semidefinite C.
 
     Zero (or numerically zero) pivots produce zero columns instead of
-    failing, so grids containing t = 0 factor cleanly.  A pivot below
-    -1e-10 ||C||_inf raises NotPsdError, and so does a skipped pivot whose
-    column below it is not zero to within 1e-6 ||C||_inf.
+    failing, so grids containing t = 0 factor cleanly.  With norm = max|C_ij|,
+    a pivot below -1e-10 norm raises NotPsdError, and so does a skipped pivot
+    (one at most 1e-12 norm) whose column below it is not zero to within
+    1e-6 norm.
+
+    Blocked right-looking Cholesky on one copy of C, overwritten in place in
+    diagonal blocks of _BLOCK = 128 rows: each block is factored by LAPACK
+    (np.linalg.cholesky), its panel below by np.linalg.solve, and the
+    trailing matrix is updated one block column at a time, so no temporary
+    exceeds n * _BLOCK.  A block that LAPACK rejects, or that has a pivot at
+    most 1e-12 norm, is redone by the column loop of ``_factor_block_by_columns``,
+    which applies the rules above.  Of C, only the lower triangle and
+    max|C_ij| are used; the caller's array is never written, and the copy is
+    the only n x n buffer allocated.
     """
-    a = np.asarray(c, dtype=float)  # only read below, so not copied
+    a = np.asarray(c, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    norm = max(float(np.max(np.abs(a))), np.finfo(float).tiny)
-    low = np.zeros_like(a)
-    for k in range(n):
-        pivot = a[k, k] - float(np.dot(low[k, :k], low[k, :k]))
+    # max|C_ij| without an n x n |C| temporary, and before the copy exists
+    norm = max(float(max(a.max(), -a.min())), np.finfo(float).tiny)
+    low = np.array(a, order="C")
+    for k0 in range(0, n, _BLOCK):
+        k1 = min(k0 + _BLOCK, n)
+        try:
+            diag = np.linalg.cholesky(low[k0:k1, k0:k1])
+        except np.linalg.LinAlgError:
+            diag = None
+        if diag is not None and np.all(np.diagonal(diag) ** 2 > _ZERO_TOL * norm):
+            low[k0:k1, k0:k1] = diag
+            if k1 < n:
+                low[k1:, k0:k1] = np.linalg.solve(diag, low[k1:, k0:k1].T).T
+        else:
+            _factor_block_by_columns(low, k0, k1, norm)
+        low[k0:k1, k1:] = 0.0
+        for j0 in range(k1, n, _BLOCK):  # trailing update S -= L_panel L_panel^T, lower part
+            j1 = min(j0 + _BLOCK, n)
+            low[j0:, j0:j1] -= low[j0:, k0:k1] @ low[j0:j1, k0:k1].T
+    return low
+
+
+def _factor_block_by_columns(low: np.ndarray, k0: int, k1: int, norm: float) -> None:
+    """Factor columns k0..k1-1 of low in place, one pivot at a time.
+
+    On entry low[k0:, k0:k1] holds the lower part of the Schur complement
+    left by the blocks before k0; on exit it holds those columns of L, with
+    zero columns for skipped pivots and a zero upper triangle in the block.
+    """
+    for k in range(k0, k1):
+        row = low[k, k0:k]
+        pivot = low[k, k] - float(np.dot(row, row))
         if pivot < -_PIVOT_TOL * norm:
-            raise NotPsdError(pivot)
+            raise NotPsdError(pivot, k)
+        column = low[k + 1 :, k] - low[k + 1 :, k0:k] @ row
         if pivot <= _ZERO_TOL * norm:
             # semidefinite direction: leave the column zero.  If C is PSD, so is
-            # its Schur complement S, and |S_ik| <= sqrt(S_kk S_ii) <= sqrt(ZERO_TOL) ||C||_inf
+            # its Schur complement S, and |S_ik| <= sqrt(S_kk S_ii) <= sqrt(ZERO_TOL) norm
             # (Cauchy-Schwarz); a larger entry in the rest of the column means C is not.
-            residual = a[k + 1 :, k] - low[k + 1 :, :k] @ low[k, :k]
-            if residual.size and float(np.max(np.abs(residual))) > math.sqrt(_ZERO_TOL) * norm:
-                raise NotPsdError(pivot)
-            continue
-        low[k, k] = math.sqrt(pivot)
-        if k + 1 < n:
-            low[k + 1 :, k] = (a[k + 1 :, k] - low[k + 1 :, :k] @ low[k, :k]) / low[k, k]
-    return low
+            bound = math.sqrt(_ZERO_TOL) * norm
+            if column.size:
+                worst = int(np.argmax(np.abs(column)))
+                if abs(float(column[worst])) > bound:
+                    raise NotPsdError(pivot, k, residual_row=k + 1 + worst,
+                                      residual=float(column[worst]), bound=bound)
+            low[k:, k] = 0.0
+        else:
+            low[k, k] = math.sqrt(pivot)
+            low[k + 1 :, k] = column / low[k, k]
+        low[k, k + 1 : k1] = 0.0
 
 
 def _draw(low: np.ndarray, n: int, seed: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import vfbm
+import vfbm.cli
 
 
 # The directory holding the imported vfbm package, made absolute so that the
@@ -124,6 +125,46 @@ def test_simulate_csv_rows_match_sample_paths(tmp_path, mixing_file):
         rep, time, component, value = line.split(",")
         assert (int(rep), float(time), int(component)) == (r, grid[k], c + 1)
         assert float(value) == paths[r, k, c]  # 17 digits round-trips
+
+
+def test_write_csv_lines_equal_the_line_by_line_format(tmp_path):
+    values = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -math.inf, math.nan]
+    labels = ["0,1", "0.5,2", "1e-05,1", "-2.5,3", "10,1", "3,2", "7,1"]
+    rows = [(0, np.array(values)), (12, np.array(values[::-1])), ("0.5,2", np.array(values))]
+    out = tmp_path / "t.csv"
+    vfbm.cli._write_csv(out, "key,time,component,value", labels, rows)
+    expected = ["key,time,component,value"]
+    expected += [f"{key},{label},{x:.17g}" for key, block in rows for label, x in zip(labels, block.tolist())]
+    assert out.read_text().splitlines() == expected
+    assert expected[1:3] == ["0,0,1,-0", "0,0.5,2,4.9406564584124654e-324"]
+
+
+def test_simulate_zero_rows_mid_grid_beyond_one_block(tmp_path, mixing_file):
+    # t = 0 at grid index 70 of 141 (rows 140, 141 of a dimension-282 covariance),
+    # so the zero pivots fall in the second diagonal block of the factorization
+    times = [k / 20 for k in range(-70, 71)]
+    assert 2 * len(times) > vfbm.simulate._BLOCK
+    out = tmp_path / "paths.csv"
+    argv = ["simulate", "--model", str(mixing_file), "--grid=" + ",".join(map(repr, times)),
+            "--n", "30", "--seed", "5", "--out", str(out)]
+    assert vfbm.cli.main(argv) == 0
+    paths = vfbm.sample_paths(vfbm.load_model(mixing_file), vfbm.TimeGrid(tuple(times)), 30, 5).paths
+    assert np.all(paths[:, 70, :] == 0.0)
+    at_zero = [line for line in out.read_text().splitlines()[1:] if line.split(",")[1] == "0"]
+    assert len(at_zero) == 30 * 2
+    assert all(line.endswith(",0") for line in at_zero)
+
+
+def test_not_psd_covariance_exits_1_with_one_json_line(tmp_path, mixing_file, monkeypatch, capsys):
+    indefinite = vfbm.covariance.CovMatrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
+    monkeypatch.setattr("vfbm.simulate.cov_matrix", lambda model, grid: indefinite)
+    argv = ["simulate", "--model", str(mixing_file), "--grid", "1", "--n", "3", "--out", str(tmp_path / "p.csv")]
+    assert vfbm.cli.main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "NotPSD"
+    assert "at row 0" in error["message"] and "1.000000e+00 at row 1" in error["message"]
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_only_the_cli_opens_files_for_writing():

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vfbm
 from vfbm import McConfig, TimeGrid, cholesky_psd, empirical_cov, mc_integral_oracle, sample_paths, validate_hurst
 from vfbm.errors import ConfigError, NotPsdError
+from vfbm.simulate import _BLOCK
 from vfbm.verify import random_mixing, suite_mc
 
 
@@ -37,6 +40,14 @@ def test_cholesky_semidefinite_zero_row():
     assert np.max(np.abs(low @ low.T - cov.entries)) <= 1e-8 * max(1.0, np.max(np.abs(cov.entries)))
 
 
+def test_cholesky_skips_a_tiny_positive_pivot():
+    # 1e-14 <= 1e-12 max|C_ij|: a zero column, although LAPACK would accept that pivot
+    d = np.ones(_BLOCK + 5)
+    d[_BLOCK - 1] = 1e-14
+    low = cholesky_psd(np.diag(d))
+    assert np.array_equal(np.diagonal(low), np.where(d == 1e-14, 0.0, 1.0))
+
+
 def test_cholesky_rejects_indefinite():
     with pytest.raises(NotPsdError):
         cholesky_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -52,6 +63,127 @@ def test_cholesky_rejects_indefinite():
 def test_cholesky_rejects_a_zero_pivot_with_a_nonzero_column(matrix):
     with pytest.raises(NotPsdError):
         cholesky_psd(np.array(matrix))
+
+
+@pytest.mark.parametrize(
+    "matrix, pivot, message",
+    [
+        ([[1.0, 2.0], [2.0, 1.0]], -3.0, "(pivot -3.000000e+00 at row 1)"),
+        ([[0.0, 1.0], [1.0, 1.0]], 0.0,
+         "(pivot 0.000000e+00 at row 0, skipped as zero, but its column has 1.000000e+00 at row 1,"
+         " above the bound 1.000000e-06)"),
+        ([[1.0, 0.0, 0.5], [0.0, 0.0, 0.3], [0.5, 0.3, 1.0]], 0.0,
+         "(pivot 0.000000e+00 at row 1, skipped as zero, but its column has 3.000000e-01 at row 2,"
+         " above the bound 1.000000e-06)"),
+    ],
+)
+def test_cholesky_error_names_the_row_and_the_residual(matrix, pivot, message):
+    with pytest.raises(NotPsdError) as info:
+        cholesky_psd(np.array(matrix))
+    assert str(info.value) == "covariance matrix not positive semidefinite " + message
+    assert info.value.code == "NotPSD" and info.value.pivot == pivot
+
+
+def _grid_cov(times):
+    _, model = _standard_model()
+    return vfbm.cov_matrix(model, TimeGrid(tuple(times))).entries
+
+
+def test_cholesky_matches_lapack_on_a_definite_matrix_beyond_one_block():
+    cov = _grid_cov(np.linspace(0.1, 5.0, 90))  # dimension 180, no t = 0 row
+    assert cov.shape[0] > _BLOCK
+    norm = float(np.max(np.abs(cov)))
+    assert float(np.max(np.abs(cholesky_psd(cov) - np.linalg.cholesky(cov)))) <= 1e-10 * norm
+
+
+def test_cholesky_blocks_match_the_column_loop_at_dimension_1400():
+    # the column loop run over all n columns is the unblocked factorization
+    cov = _grid_cov(np.linspace(0.0, 10.0, 700))
+    norm = float(np.max(np.abs(cov)))
+    loop = cov.copy()
+    vfbm.simulate._factor_block_by_columns(loop, 0, cov.shape[0], norm)
+    low = cholesky_psd(cov)
+    assert float(np.max(np.abs(low - loop))) <= 1e-10
+    assert float(np.max(np.abs(low @ low.T - cov))) <= 1e-12 * norm
+    assert np.flatnonzero(np.diagonal(low) == 0.0).tolist() == [0, 1]  # the t = 0 rows
+
+
+def test_cholesky_leaves_its_input_alone_and_reads_any_layout():
+    cov = _grid_cov([k / 20 for k in range(-70, 71)])  # t = 0 mid-grid, dimension 282
+    before = cov.tobytes()
+    low = cholesky_psd(cov)
+    assert cov.tobytes() == before
+    strided = np.zeros((2 * cov.shape[0], 2 * cov.shape[1]))
+    strided[::2, ::2] = cov
+    view = strided[::2, ::2]
+    assert not view.flags.c_contiguous
+    for same in (cov.tolist(), np.asfortranarray(cov), view):
+        assert np.array_equal(cholesky_psd(same), low)
+    assert strided[::2, ::2].tobytes() == before and not strided[1::2].any()
+
+
+@st.composite
+def _padded_low_rank(draw):
+    """(C, B, independent rows) with C = B B^T of rank r < n, n up to 2.5 blocks.
+
+    B is zero at the padded rows (block-boundary positions among the choices).
+    The other rows are in echelon form: each of the r independent ones opens a
+    new column of B with an entry in [1, 2] and small entries (spectral norm
+    about 0.5) in the columns open before, each dependent one combines the
+    columns open so far.  So B, its columns placed at the independent rows, is
+    the semidefinite Cholesky factor of C, and the independent rows of B are
+    well conditioned (a Gaussian triangular factor would not be).
+    """
+    n = draw(st.integers(3, 5 * _BLOCK // 2))
+    edges = [k for k in (_BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK) if k < n]
+    position = st.integers(0, n - 1) | st.sampled_from(edges) if edges else st.integers(0, n - 1)
+    zeros = draw(st.sets(position, min_size=1, max_size=min(8, n - 2)))
+    rows = [k for k in range(n) if k not in zeros]
+    rank = len(rows) - draw(st.integers(0, len(rows) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    independent = sorted(rng.choice(rows, size=rank, replace=False).tolist())
+    b = np.zeros((n, rank))
+    for k in rows:
+        opened = int(np.searchsorted(independent, k, side="right"))
+        if k in independent:
+            b[k, : opened - 1] = rng.standard_normal(opened - 1) * (0.25 / np.sqrt(rank))
+            b[k, opened - 1] = rng.uniform(1.0, 2.0)
+        else:
+            b[k, :opened] = rng.standard_normal(opened)
+    b *= 10.0 ** draw(st.integers(-3, 3))
+    return b @ b.T, b, independent
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(_padded_low_rank())
+def test_cholesky_property_low_rank_with_zero_rows(case):
+    cov, b, independent = case
+    low = cholesky_psd(cov)
+    norm = float(np.max(np.abs(cov)))
+    assert float(np.max(np.abs(low @ low.T - cov))) <= 1e-8 * norm
+    assert np.flatnonzero(np.diagonal(low)).tolist() == independent  # zero on padded and dependent rows
+    assert float(np.max(np.abs(low[:, independent] - b))) <= 1e-8 * np.sqrt(norm)
+    assert not np.triu(low, 1).any()
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(_padded_low_rank())
+def test_cholesky_property_rejects_a_psd_matrix_minus_a_rank_one_term(case):
+    # C - 2 c_k c_k^T / C_kk at the largest diagonal entry k has e_k^T (.) e_k = -C_kk,
+    # and C_kk >= max|C_ij|, so its smallest eigenvalue is at most -max|C_ij|
+    cov = case[0]
+    k = int(np.argmax(np.diagonal(cov)))
+    with pytest.raises(NotPsdError):
+        cholesky_psd(cov - 2.0 * np.outer(cov[:, k], cov[:, k]) / cov[k, k])
+
+
+@pytest.mark.xfail(strict=True, raises=NotPsdError, reason="unpivoted elimination: a small pivot within the rank "
+                   "amplifies rounding past the -1e-10 max|C_ij| rule")
+def test_cholesky_factors_a_generic_low_rank_matrix():
+    # rank 17 of 20; the 17th pivot is 5.7e-8 max|C_ij|, and the Schur complement
+    # left after it holds -3.6e-10 max|C_ij| at row 19 (the eigenvalues are >= -1.2e-16 max|C_ij|)
+    b = np.random.default_rng(24).standard_normal((20, 17))
+    cholesky_psd(b @ b.T)
 
 
 def test_cholesky_reconstruction_accuracy():
