@@ -246,7 +246,7 @@ def quadrature_kernel_oracle(
 
     Raises NoConvergenceError if the evaluation budget (default 1e6) runs out.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     s = float(s)
     t = float(t)

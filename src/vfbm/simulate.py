@@ -4,14 +4,14 @@
 Cholesky factorization of the grid covariance (semidefinite pivots, e.g.
 the identically-zero row at grid time 0, are skipped).  ``cholesky_psd`` is
 a blocked right-looking factorization in diagonal blocks of 128 rows, done
-in place on one copy of the matrix: LAPACK factors each block unless the
-block holds a zero pivot, which a column loop then skips.  ``mc_integral_oracle``
-instead simulates the moving-average construction directly: the stochastic
-integral is discretized by a midpoint Riemann sum on a truncated domain with
-local refinement around the kernel singularities, giving an end-to-end
-statistical check of the whole covariance machinery.  The sum is linear in
-its normals, x = K z, so the oracle draws x exactly from N(0, K K^T) through
-the same Cholesky draw as ``sample_paths``.
+in place on one copy of the matrix: a column loop factors each block and the
+panel below it, skipping zero pivots, and one matrix product per block column
+updates the rest.  ``mc_integral_oracle`` instead simulates the moving-average
+construction directly: the stochastic integral is discretized by a midpoint
+Riemann sum on a truncated domain with local refinement around the kernel
+singularities, giving an end-to-end statistical check of the whole covariance
+machinery.  The sum is linear in its normals, x = K z, so the oracle draws x
+exactly from N(0, K K^T) through the same Cholesky draw as ``sample_paths``.
 
 Reproducibility contract: every seeded routine draws its standard normals
 from one ``np.random.default_rng(seed)`` stream, replication after
@@ -87,10 +87,10 @@ class McConfig:
         check_seed(self.seed)
         if self.n_reps < 100:
             raise ConfigError(f"n_reps must be >= 100, got {self.n_reps}")
-        if not self.grid_step > 0.0:
-            raise ConfigError(f"grid_step must be positive, got {self.grid_step}")
-        if not self.trunc > 0.0:
-            raise ConfigError(f"trunc must be positive, got {self.trunc}")
+        if not 0.0 < self.grid_step < math.inf:
+            raise ConfigError(f"grid_step must be positive and finite, got {self.grid_step}")
+        if not 0.0 < self.trunc < math.inf:
+            raise ConfigError(f"trunc must be positive and finite, got {self.trunc}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +120,12 @@ def cholesky_psd(c: np.ndarray) -> np.ndarray:
     1e-6 norm.
 
     Blocked right-looking Cholesky on one copy of C, overwritten in place in
-    diagonal blocks of _BLOCK = 128 rows: each block is factored by LAPACK
-    (np.linalg.cholesky), its panel below by np.linalg.solve, and the
-    trailing matrix is updated one block column at a time, so no temporary
-    exceeds n * _BLOCK.  A block that LAPACK rejects, or that has a pivot at
-    most 1e-12 norm, is redone by the column loop of ``_factor_block_by_columns``,
-    which applies the rules above.  Of C, only the lower triangle and
-    max|C_ij| are used; the caller's array is never written, and the copy is
-    the only n x n buffer allocated.
+    diagonal blocks of _BLOCK = 128 rows: the column loop of
+    ``_factor_block_by_columns`` factors each block and the panel below it,
+    applying the rules above, and the trailing matrix is updated one block
+    column at a time, so no temporary exceeds n * _BLOCK.  Of C, only the
+    lower triangle and max|C_ij| are used; the caller's array is never
+    written, and the copy is the only n x n buffer allocated.
     """
     a = np.asarray(c, dtype=float)
     n = a.shape[0]
@@ -138,16 +136,7 @@ def cholesky_psd(c: np.ndarray) -> np.ndarray:
     low = np.array(a, order="C")
     for k0 in range(0, n, _BLOCK):
         k1 = min(k0 + _BLOCK, n)
-        try:
-            diag = np.linalg.cholesky(low[k0:k1, k0:k1])
-        except np.linalg.LinAlgError:
-            diag = None
-        if diag is not None and np.all(np.diagonal(diag) ** 2 > _ZERO_TOL * norm):
-            low[k0:k1, k0:k1] = diag
-            if k1 < n:
-                low[k1:, k0:k1] = np.linalg.solve(diag, low[k1:, k0:k1].T).T
-        else:
-            _factor_block_by_columns(low, k0, k1, norm)
+        _factor_block_by_columns(low, k0, k1, norm)
         low[k0:k1, k1:] = 0.0
         for j0 in range(k1, n, _BLOCK):  # trailing update S -= L_panel L_panel^T, lower part
             j1 = min(j0 + _BLOCK, n)
@@ -167,7 +156,8 @@ def _factor_block_by_columns(low: np.ndarray, k0: int, k1: int, norm: float) -> 
         pivot = low[k, k] - float(np.dot(row, row))
         if pivot < -_PIVOT_TOL * norm:
             raise NotPsdError(pivot, k)
-        column = low[k + 1 :, k] - low[k + 1 :, k0:k] @ row
+        column = low[k + 1 :, k]  # a view, updated in place
+        column -= low[k + 1 :, k0:k] @ row
         if pivot <= _ZERO_TOL * norm:
             # semidefinite direction: leave the column zero.  If C is PSD, so is
             # its Schur complement S, and |S_ik| <= sqrt(S_kk S_ii) <= sqrt(ZERO_TOL) norm
@@ -181,7 +171,7 @@ def _factor_block_by_columns(low: np.ndarray, k0: int, k1: int, norm: float) -> 
             low[k:, k] = 0.0
         else:
             low[k, k] = math.sqrt(pivot)
-            low[k + 1 :, k] = column / low[k, k]
+            column /= low[k, k]
         low[k, k + 1 : k1] = 0.0
 
 

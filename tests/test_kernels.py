@@ -110,6 +110,8 @@ def test_oracle_budget_exhaustion():
         quadrature_kernel_oracle(KernelKind.PP, 0.3, 0.6, 1.0, 2.0, tol=1e-10, max_evals=200)
     with pytest.raises(ValueError):
         quadrature_kernel_oracle(KernelKind.PP, 0.3, 0.6, 1.0, 2.0, tol=0.0)
+    with pytest.raises(ValueError):  # before any evaluation, not after the whole budget
+        quadrature_kernel_oracle(KernelKind.PP, 0.3, 0.6, 1.0, 2.0, tol=float("nan"))
 
 
 def test_continuity_across_critical_boundary():

@@ -73,8 +73,12 @@ _MODULE_ONLY = {
     "McCovarianceTable",
     "beta",
     "phi",
-    "log_gamma",
 }
+
+
+def test_module_only_names_resolve():
+    submodules = [importlib.import_module(name) for name in _MODULES[1:]]
+    assert sorted(n for n in _MODULE_ONLY if not any(hasattr(mod, n) for mod in submodules)) == []
 
 
 def test_package_exports_exactly_the_documented_names():

@@ -1,5 +1,7 @@
 """Semidefinite Cholesky, exact sampling, and the Monte Carlo discretization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,16 +98,26 @@ def test_cholesky_matches_lapack_on_a_definite_matrix_beyond_one_block():
     assert float(np.max(np.abs(cholesky_psd(cov) - np.linalg.cholesky(cov)))) <= 1e-10 * norm
 
 
-def test_cholesky_blocks_match_the_column_loop_at_dimension_1400():
+@pytest.mark.parametrize(
+    "times, zero_rows",
+    [
+        (np.linspace(0.0, 10.0, 700), [0, 1]),  # long-grid's grid, dimension 1400; the t = 0 rows
+        ((0.5, 1.0, 1.5, 2.5), []),  # criterion 8's grid, dimension 8: one block
+    ],
+    ids=["dim1400", "dim8"],
+)
+def test_cholesky_blocks_match_the_column_loop_at_dimension_1400(times, zero_rows):
     # the column loop run over all n columns is the unblocked factorization
-    cov = _grid_cov(np.linspace(0.0, 10.0, 700))
+    cov = _grid_cov(times)
     norm = float(np.max(np.abs(cov)))
     loop = cov.copy()
     vfbm.simulate._factor_block_by_columns(loop, 0, cov.shape[0], norm)
     low = cholesky_psd(cov)
+    if cov.shape[0] <= _BLOCK:
+        assert np.array_equal(low, loop)
     assert float(np.max(np.abs(low - loop))) <= 1e-10
     assert float(np.max(np.abs(low @ low.T - cov))) <= 1e-12 * norm
-    assert np.flatnonzero(np.diagonal(low) == 0.0).tolist() == [0, 1]  # the t = 0 rows
+    assert np.flatnonzero(np.diagonal(low) == 0.0).tolist() == zero_rows
 
 
 def test_cholesky_leaves_its_input_alone_and_reads_any_layout():
@@ -283,6 +295,11 @@ def test_mc_config_validation():
         McConfig(n_reps=10, grid_step=0.1, trunc=100.0, seed=0)
     with pytest.raises(ConfigError):
         McConfig(n_reps=100, grid_step=-0.1, trunc=100.0, seed=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite"):
+            McConfig(n_reps=100, grid_step=bad, trunc=100.0, seed=0)
+        with pytest.raises(ConfigError, match="finite"):
+            McConfig(n_reps=100, grid_step=0.1, trunc=bad, seed=0)
 
 
 def test_mc_oracle_rejects_bad_configs():
