@@ -61,6 +61,15 @@ def check_seed(seed: int) -> int:
     raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
+def check_count(name: str, n: int, low: int, error: type[Exception] = ValueError) -> int:
+    """The count n as an int; ``error`` unless it is an integer (not a bool) >= low."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise error(f"{name} must be an integer, got {n!r}")
+    if n < low:
+        raise error(f"{name} must be >= {low}, got {n}")
+    return int(n)
+
+
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """N sampled skeletons of the p-variate process on a common grid."""
@@ -85,8 +94,7 @@ class McConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.n_reps < 100:
-            raise ConfigError(f"n_reps must be >= 100, got {self.n_reps}")
+        check_count("n_reps", self.n_reps, 100, ConfigError)
         if not 0.0 < self.grid_step < math.inf:
             raise ConfigError(f"grid_step must be positive and finite, got {self.grid_step}")
         if not 0.0 < self.trunc < math.inf:
@@ -191,8 +199,7 @@ def sample_paths(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -> P
     dim normals of the default_rng(seed) stream.
     """
     seed = check_seed(seed)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_count("n", n, 1)
     flat = _draw(cholesky_psd(cov_matrix(model, grid).entries), n, seed)
     digest = hashlib.sha256(
         json.dumps(model_to_dict(model), sort_keys=True).encode("utf-8")

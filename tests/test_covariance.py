@@ -153,6 +153,44 @@ def test_zero_boundary_exact():
             assert cov_pair(model, i, j, -0.4, 0.0) == 0.0
 
 
+def _term_sum(model, i, j, s, t):
+    """The sum of the absolute values of the terms that cov_pair adds up at (s, t)."""
+    lo, hi = sorted((i - 1, j - 1))
+    coef = 0.5 * model.sigma[lo] * model.sigma[hi]
+    x = np.abs([s, t, t - s])
+    if model.critical[lo, hi]:
+        logs = np.abs(x * np.log(np.where(x == 0.0, 1.0, x)))
+        return coef * (abs(model.c[lo, hi]) * x.sum() + abs(model.f[lo, hi]) * logs.sum())
+    cmax = max(abs(model.c[lo, hi]), abs(model.c[hi, lo]))
+    return coef * cmax * float(np.sum(x ** (model.hurst[lo] + model.hurst[hi])))
+
+
+@pytest.mark.parametrize("critical_pair", [False, True])
+def test_array_call_matches_scalar_calls(critical_pair):
+    # An array call may differ from the scalar calls by rounding only: numpy's
+    # vectorized pow and log (AVX-512 on some CPUs) differ from the scalar libm
+    # ones by 1 ulp on a few percent of arguments.  Where the three terms
+    # cancel, 1 ulp of a term exceeds 1e-14 of the value (3.4e-14 seen in 600
+    # random models), so the bound scales with the sum of the terms' sizes,
+    # which is never below |value|.  At s = 0 or t = 0 both sides are exactly 0.
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        m = random_mixing(rng, 3, critical_pair=critical_pair, a_minus_scale=float(rng.uniform(0, 1.5)))
+        model = vfbm.coeffs_from_mixing(m)
+        s, t, big_t = rng.uniform(-3, 3, size=3)
+        ss = np.array([s, 2.5 * s, s + big_t, s + big_t, big_t, big_t, 0.0, s, t])
+        ts = np.array([t, 2.5 * t, t + big_t, big_t, t + big_t, big_t, t, 0.0, s])
+        for i in range(1, 4):
+            for j in range(1, 4):
+                batch = cov_pair(model, i, j, ss, ts)
+                for k, (sk, tk) in enumerate(zip(ss.tolist(), ts.tolist())):
+                    one = cov_pair(model, i, j, sk, tk)
+                    if sk == 0.0 or tk == 0.0:
+                        assert batch[k] == 0.0 and one == 0.0
+                    bound = 1e-14 * max(1.0, _term_sum(model, i, j, sk, tk))
+                    assert abs(batch[k] - one) <= bound, (i, j, sk, tk)
+
+
 def test_cov_matrix_brownian_grid():
     model = CovarianceModel(validate_hurst([0.5]))
     cov = cov_matrix(model, TimeGrid((1.0, 2.0, 3.0)))

@@ -222,6 +222,17 @@ def test_sample_paths_deterministic_and_zero_at_origin():
     assert not np.array_equal(e1.paths, e3.paths)
 
 
+def test_sample_paths_rejects_a_count_that_is_not_a_positive_integer():
+    _, model = _standard_model()
+    grid = TimeGrid((0.5, 1.0))
+    for bad in (2.5, math.nan, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_paths(model, grid, bad, seed=0)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        sample_paths(model, grid, 0, seed=0)
+    assert sample_paths(model, grid, np.int64(3), seed=0).n_paths == 3
+
+
 def test_sample_paths_draws_one_default_rng_stream():
     # the RNG contract: path r is the r-th block of dim normals of default_rng(seed)
     _, model = _standard_model()
@@ -291,8 +302,12 @@ def test_empirical_cov_trivial_cases():
 
 
 def test_mc_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="n_reps must be >= 100"):
         McConfig(n_reps=10, grid_step=0.1, trunc=100.0, seed=0)
+    for bad in (100.5, math.nan, 200.0, True, "200"):
+        with pytest.raises(ConfigError, match="n_reps must be an integer"):
+            McConfig(n_reps=bad, grid_step=0.1, trunc=100.0, seed=0)
+    assert McConfig(n_reps=np.int64(100), grid_step=0.1, trunc=100.0, seed=0).n_reps == 100
     with pytest.raises(ConfigError):
         McConfig(n_reps=100, grid_step=-0.1, trunc=100.0, seed=0)
     for bad in (math.inf, math.nan):
