@@ -148,7 +148,8 @@ def _cmd_simulate(args) -> int:
     rows = enumerate(ens.paths.reshape(ens.n_paths, -1))  # one block per path
     _write_csv(args.out, "rep,time,component,value", _grid_labels(grid, model.p), rows)
     sys.stdout.write(
-        json.dumps({"n": ens.n_paths, "seed": ens.seed, "model_hash": ens.model_hash, "out": args.out}) + "\n"
+        json.dumps({"n": ens.n_paths, "seed": ens.seed, "model_hash": ens.model_hash, "method": ens.method,
+                    "out": args.out}) + "\n"
     )
     return 0
 

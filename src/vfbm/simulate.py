@@ -1,22 +1,49 @@
 """Exact path sampling and the Monte Carlo discretization oracle.
 
-``sample_paths`` draws exact Gaussian skeletons of the vector process by
-Cholesky factorization of the grid covariance (semidefinite pivots, e.g.
-the identically-zero row at grid time 0, are skipped).  ``cholesky_psd`` is
-a blocked right-looking factorization in diagonal blocks of 128 rows, done
-in place on one copy of the matrix: a column loop factors each block and the
-panel below it, skipping zero pivots, and one matrix product per block column
-updates the rest.  ``mc_integral_oracle`` instead simulates the moving-average
-construction directly: the stochastic integral is discretized by a midpoint
-Riemann sum on a truncated domain with local refinement around the kernel
-singularities, giving an end-to-end statistical check of the whole covariance
-machinery.  The sum is linear in its normals, x = K z, so the oracle draws x
-exactly from N(0, K K^T) through the same Cholesky draw as ``sample_paths``.
+``sample_paths`` draws exact Gaussian skeletons of the vector process in
+one of two ways, and records which in ``PathEnsemble.method``:
+
+- ``"circulant"``: on an equispaced grid t_k = (k0 + k) Delta, k0 in {0, 1},
+  whose dimension n p exceeds one factorization block, the M increments
+  over steps of Delta (M = n - 1 from 0, n from Delta) are stationary with
+  lag cross-covariances
+  Gamma(k)_ij = r_ij(Delta, (k+1) Delta) - r_ij(Delta, k Delta) and
+  Gamma(-k) = Gamma(k)^T.  They are embedded in a block circulant of size
+  L = 2M (middle lag (Gamma(M) + Gamma(M)^T)/2), whose L per-frequency
+  p x p Hermitian matrices come from one FFT and are eigendecomposed; each
+  complex Gaussian synthesis gives two independent increment sequences,
+  its real and imaginary parts, and cumulative sums give the paths (an
+  exact 0 row at t = 0).  This costs O(p^3 M + p^2 M log M) and holds no
+  n p x n p matrix.  It is exact only when every per-frequency matrix is
+  PSD: an eigenvalue below -1e-12 max|lambda| (the zero-pivot rule of
+  ``cholesky_psd``) sends the draw to the Cholesky path instead, and one in
+  [-1e-12 max|lambda|, 0] is treated as 0.
+- ``"cholesky"``: every other grid, by Cholesky factorization of the grid
+  covariance (semidefinite pivots, e.g. the identically-zero row at grid
+  time 0, are skipped).  ``cholesky_psd`` is a blocked right-looking
+  factorization in diagonal blocks of 128 rows, done in place on one copy
+  of the matrix: a column loop factors each block and the panel below it,
+  skipping zero pivots, and one matrix product per block column updates
+  the rest.
+
+``mc_integral_oracle`` instead simulates the moving-average construction
+directly: the stochastic integral is discretized by a midpoint Riemann sum
+on a truncated domain with local refinement around the kernel
+singularities, giving an end-to-end statistical check of the whole
+covariance machinery.  The sum is linear in its normals, x = K z, so the
+oracle draws x exactly from N(0, K K^T) through the same Cholesky draw as
+``sample_paths``.
 
 Reproducibility contract: every seeded routine draws its standard normals
 from one ``np.random.default_rng(seed)`` stream, replication after
-replication, so reruns with a fixed seed are bit-identical; replication r is
-reached only by drawing replications 0..r-1 first.
+replication, so reruns with a fixed seed are bit-identical; replication r
+is reached only by drawing replications 0..r-1 first.  A Cholesky draw
+takes n p normals per path, path r the r-th block.  A circulant draw takes
+2 L p normals per pair of paths, pair q the q-th block, ordered by
+component, then frequency, then real and imaginary part; pair q gives path
+2q (real part) and path 2q + 1 (imaginary part).  An odd number of paths
+drops the last pair's imaginary part, and the first k paths of a larger
+draw equal a k-path draw.
 """
 
 from __future__ import annotations
@@ -28,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import cov_matrix
+from .covariance import cov_matrix, cov_pair
 from .errors import ConfigError, NotPsdError
 from .kernels import kernel_factor
 from .model import CovarianceModel, MixingMatrices, TimeGrid, model_to_dict
@@ -48,6 +75,9 @@ _PIVOT_TOL = 1e-10
 _ZERO_TOL = 1e-12
 # rows per diagonal block of cholesky_psd
 _BLOCK = 128
+# a grid time t_k is on the equispaced grid (k0 + k) Delta when it is within
+# _GRID_ULPS * eps * (k0 + k) Delta of it
+_GRID_ULPS = 4
 
 
 def check_seed(seed: int) -> int:
@@ -77,6 +107,7 @@ class PathEnsemble:
     paths: np.ndarray  # shape (N, n_times, p)
     seed: int
     model_hash: str
+    method: str = "cholesky"  # or "circulant": which exact draw made the paths
 
     @property
     def n_paths(self) -> int:
@@ -191,20 +222,115 @@ def _draw(low: np.ndarray, n: int, seed: int) -> np.ndarray:
     return z @ low.T
 
 
+def _equispaced(grid: TimeGrid) -> tuple[float, int] | None:
+    """(Delta, k0) when the grid is t_k = (k0 + k) Delta, k = 0..n-1, k0 in {0, 1}.
+
+    k0 is 0 when t_0 is exactly 0 and 1 otherwise, and Delta = t_{n-1} / (k0 + n - 1).
+    Each time must be within 4 eps (k0 + k) Delta of (k0 + k) Delta (eps = 2.2e-16),
+    which a ``np.linspace`` or ``np.arange`` grid and decimal text such as
+    0,0.1,...,20 meet; any other grid, or one of fewer than two times, gives None.
+    """
+    times = np.asarray(grid.times)
+    if times.size < 2 or times[0] < 0.0:
+        return None
+    k0 = 0 if times[0] == 0.0 else 1
+    steps = np.arange(k0, k0 + times.size)
+    delta = float(times[-1]) / float(steps[-1])
+    exact = steps * delta
+    if np.all(np.abs(times - exact) <= _GRID_ULPS * np.finfo(float).eps * exact):
+        return delta, k0
+    return None
+
+
+def _circulant_factor(model: CovarianceModel, delta: float, m: int) -> np.ndarray | None:
+    """Factors B(f), stored as B[i, k, f] of shape (p, p, 2m), with B(f) B(f)^H = S(f) / 2m, or None.
+
+    S(f) is the f-th per-frequency matrix of the block circulant of size
+    L = 2m whose first block column holds Gamma(0), ..., Gamma(m-1), the
+    symmetrized (Gamma(m) + Gamma(m)^T)/2, then Gamma(m-1)^T, ..., Gamma(1)^T,
+    for the lag covariances Gamma(k)_ij = E Y_0,i Y_k,j of the increments
+    Y_k = X((k+1) Delta) - X(k Delta).  None when some eigenvalue of some S(f)
+    is below -_ZERO_TOL max|lambda|: the embedding is not PSD.
+    """
+    p = model.p
+    lags = delta * np.arange(m + 2)
+    gamma = np.empty((m + 1, p, p))
+    for i in range(1, p + 1):
+        for j in range(1, p + 1):
+            r = np.asarray(cov_pair(model, i, j, delta, lags))  # r_ij(Delta, k Delta), k = 0..m+1
+            gamma[:, i - 1, j - 1] = r[1:] - r[:-1]
+    middle = 0.5 * (gamma[m] + gamma[m].T)
+    column = np.concatenate((gamma[:m], middle[None], gamma[m - 1 : 0 : -1].transpose(0, 2, 1)))
+    lam, vec = np.linalg.eigh(np.fft.fft(column, axis=0))  # S(f) is Hermitian: column[L-k] = column[k]^T
+    floor = _ZERO_TOL * float(np.max(np.abs(lam)))
+    if float(lam.min()) < -floor:
+        return None
+    factor = vec * np.sqrt(np.maximum(lam, 0.0) / (2 * m))[:, None, :]
+    return np.ascontiguousarray(factor.transpose(1, 2, 0))  # frequency last, for the FFT
+
+
+def _circulant_paths(factor: np.ndarray, z: np.ndarray, m: int, k0: int) -> np.ndarray:
+    """Paths, shape (2 pairs, m + 1 - k0, p), from normals z of shape (pairs, p, L, 2).
+
+    Pair q synthesizes Y = FFT_f(B(f) W_q(f)) with W_q = z[q, ..., 0] + i z[q, ..., 1],
+    whose real and imaginary parts are independent with the lag covariances
+    embedded in B, then takes the cumulative sums of their first m increments
+    as paths 2q and 2q + 1, after an exact 0 row when the grid starts at 0.
+    Every step acts on each pair alone, so path r does not depend on how many
+    pairs are drawn.
+    """
+    pairs, p, _, _ = z.shape
+    w = z.view(complex)[..., 0]  # (pairs, p, L)
+    v = factor[None, :, 0] * w[:, None, 0]
+    for k in range(1, p):  # B(f) W(f) elementwise, so each pair's sums run in one order
+        v += factor[None, :, k] * w[:, None, k]
+    y = np.fft.fft(v, axis=-1)[:, :, :m].transpose(0, 2, 1)  # increments, (pairs, m, p)
+    paths = np.zeros((pairs, 2, m + 1 - k0, p))
+    np.cumsum(y.real, axis=1, out=paths[:, 0, 1 - k0 :])
+    np.cumsum(y.imag, axis=1, out=paths[:, 1, 1 - k0 :])
+    return paths.reshape(2 * pairs, m + 1 - k0, p)
+
+
+def _circulant_draw(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -> np.ndarray | None:
+    """n exact paths by circulant embedding, shape (n, grid.n, p), or None.
+
+    None unless the grid is equispaced from 0 or Delta with more than one
+    factorization block of rows, and its embedding is PSD.
+    """
+    if grid.n * model.p <= _BLOCK:
+        return None
+    spacing = _equispaced(grid)
+    if spacing is None:
+        return None
+    delta, k0 = spacing
+    m = grid.n - 1 + k0  # increments up to the last grid time
+    factor = _circulant_factor(model, delta, m)
+    if factor is None:
+        return None
+    z = np.empty(((n + 1) // 2, model.p, 2 * m, 2))
+    np.random.default_rng(seed).standard_normal(out=z)
+    return _circulant_paths(factor, z, m, k0)[:n]
+
+
 def sample_paths(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -> PathEnsemble:
     """Draw n i.i.d. exact skeletons of the process on the grid.
 
-    The joint normal has covariance cov_matrix(model, grid); draws are
-    reproducible per (model, grid, n, seed): path r takes the r-th block of
-    dim normals of the default_rng(seed) stream.
+    The joint normal has covariance cov_matrix(model, grid).  Equispaced
+    grids beyond one factorization block draw by circulant embedding when
+    it is PSD, every other grid by Cholesky factorization (the module
+    docstring has both).  Draws are reproducible per (model, grid, n, seed)
+    under the module's reproducibility contract.
     """
     seed = check_seed(seed)
     n = check_count("n", n, 1)
-    flat = _draw(cholesky_psd(cov_matrix(model, grid).entries), n, seed)
+    method, paths = "circulant", _circulant_draw(model, grid, n, seed)
+    if paths is None:
+        method = "cholesky"
+        paths = _draw(cholesky_psd(cov_matrix(model, grid).entries), n, seed).reshape(n, grid.n, model.p)
     digest = hashlib.sha256(
         json.dumps(model_to_dict(model), sort_keys=True).encode("utf-8")
     ).hexdigest()
-    return PathEnsemble(paths=flat.reshape(n, grid.n, model.p), seed=seed, model_hash=digest)
+    return PathEnsemble(paths=paths, seed=seed, model_hash=digest, method=method)
 
 
 def empirical_cov(e: PathEnsemble) -> EmpiricalCovariance:

@@ -155,6 +155,19 @@ def test_simulate_zero_rows_mid_grid_beyond_one_block(tmp_path, mixing_file):
     assert all(line.endswith(",0") for line in at_zero)
 
 
+@pytest.mark.parametrize(
+    "grid, method",
+    [("0,0.5,1", "cholesky"), (",".join(f"{k / 10:g}" for k in range(101)), "circulant")],  # 0,0.1,...,10
+    ids=["3-points", "101-points-equispaced"],
+)
+def test_simulate_reports_its_method(tmp_path, mixing_file, capsys, grid, method):
+    out = tmp_path / "paths.csv"
+    argv = ["simulate", "--model", str(mixing_file), "--grid", grid, "--n", "3", "--seed", "1", "--out", str(out)]
+    assert vfbm.cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"n": 3, "seed": 1, "model_hash": report["model_hash"], "method": method, "out": str(out)}
+
+
 def test_not_psd_covariance_exits_1_with_one_json_line(tmp_path, mixing_file, monkeypatch, capsys):
     indefinite = vfbm.covariance.CovMatrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
     monkeypatch.setattr("vfbm.simulate.cov_matrix", lambda model, grid: indefinite)

@@ -1,6 +1,7 @@
 """Semidefinite Cholesky, exact sampling, and the Monte Carlo discretization."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import vfbm
 from vfbm import McConfig, TimeGrid, cholesky_psd, empirical_cov, mc_integral_oracle, sample_paths, validate_hurst
 from vfbm.errors import ConfigError, NotPsdError
-from vfbm.simulate import _BLOCK
+from vfbm.simulate import _BLOCK, _circulant_factor, _circulant_paths, _draw, _equispaced
 from vfbm.verify import random_mixing, suite_mc
 
 
@@ -256,6 +257,148 @@ def test_sample_paths_rank_deficient_beyond_time_zero():
     assert float(np.max(np.abs(low @ low.T - cov.entries))) <= 1e-8 * norm
     paths = sample_paths(model, grid, 200, seed=4).paths
     assert float(np.max(np.abs(paths[:, :, 0] - paths[:, :, 1]))) <= 1e-12
+
+
+def _mixing_model(a_plus, a_minus, hurst):
+    return vfbm.coeffs_from_mixing(
+        vfbm.MixingMatrices(a_plus=np.array(a_plus), a_minus=np.array(a_minus), hurst=validate_hurst(hurst))
+    )
+
+
+# perfbench long-grid's mixing matrices (H = (0.35, 0.65), a critical pair) at its
+# seeds 1 and 9, to 3 decimals.  Seed 1's circulant embedding is PSD; seed 9's has a
+# smallest eigenvalue of -7.7e-4 max|lambda| at 100 grid points (-5.0e-4 at 700).
+_LONG_GRID_SEED_1 = _mixing_model([[0.346, 0.822], [0.33, -1.303]], [[0.453, 0.223], [-0.268, 0.291]], (0.35, 0.65))
+_LONG_GRID_SEED_9 = _mixing_model([[-0.803, 0.243], [-1.656, 0.656]], [[0.572, -0.226], [0.215, 0.125]], (0.35, 0.65))
+_THREE_COMPONENTS = _mixing_model(
+    [[1.0, 0.3, -0.2], [0.4, 1.0, 0.1], [0.0, -0.5, 1.0]], [[0.2, 0.0, 0.1], [0.0, 0.3, 0.0], [0.1, 0.0, 0.2]],
+    (0.4, 0.6, 0.75),
+)
+
+
+def _circulant_setup(model, grid):
+    spacing = _equispaced(grid)
+    assert spacing is not None
+    delta, k0 = spacing
+    m = grid.n - 1 + k0
+    factor = _circulant_factor(model, delta, m)
+    assert factor is not None
+    return factor, m, k0
+
+
+@pytest.mark.parametrize("model", [_LONG_GRID_SEED_1, _standard_model()[1], _THREE_COMPONENTS],
+                         ids=["critical", "general", "p3"])
+@pytest.mark.parametrize("times", [np.linspace(0.0, 7.0, 70), 0.1 * np.arange(1, 71)], ids=["from0", "fromDelta"])
+def test_circulant_synthesis_implies_cov_matrix(model, times):
+    # push every unit normal of one pair through the synthesis: the outputs'
+    # outer products sum to the covariance the draw implies, for the real-part
+    # path, the imaginary-part path and between the two
+    grid = TimeGrid(tuple(times))
+    factor, m, k0 = _circulant_setup(model, grid)
+    size = model.p * factor.shape[-1] * 2
+    paths = _circulant_paths(factor, np.eye(size).reshape(size, model.p, -1, 2), m, k0)
+    paths = paths.reshape(size, 2, grid.n * model.p)
+    real, imag = paths[:, 0], paths[:, 1]
+    cov = vfbm.cov_matrix(model, grid).entries
+    bound = 1e-12 * float(np.max(np.abs(cov)))
+    # the cross blocks are not the transposes of each other, so a draw with
+    # Gamma_ji in place of Gamma_ij would be off there
+    assert float(np.max(np.abs(cov[0 :: model.p, 1 :: model.p] - cov[1 :: model.p, 0 :: model.p]))) > 1e3 * bound
+    assert float(np.max(np.abs(real.T @ real - cov))) <= bound
+    assert float(np.max(np.abs(imag.T @ imag - cov))) <= bound
+    assert float(np.max(np.abs(real.T @ imag))) <= bound
+
+
+def test_circulant_draw_takes_pairs_of_the_one_stream():
+    # the RNG contract: pair q is the q-th block of 2 L p normals, path 2q its
+    # real part and path 2q + 1 its imaginary part
+    grid = TimeGrid(tuple(np.linspace(0.0, 10.0, 100)))
+    factor, m, k0 = _circulant_setup(_LONG_GRID_SEED_1, grid)
+    n, seed = 7, 2**64 - 1
+    ens = sample_paths(_LONG_GRID_SEED_1, grid, n, seed)
+    z = np.random.default_rng(seed).standard_normal(((n + 1) // 2, 2, 2 * m, 2))  # (pair, component, L, re/im)
+    assert ens.method == "circulant"
+    assert np.array_equal(ens.paths, _circulant_paths(factor, z, m, k0)[:n])
+
+
+@pytest.mark.parametrize("start", [0.0, 0.1], ids=["from0", "fromDelta"])
+def test_circulant_draw_is_reproducible_and_prefix_stable(start):
+    grid = TimeGrid(tuple(start + 0.1 * np.arange(100)))
+    ens = sample_paths(_LONG_GRID_SEED_1, grid, 12, seed=3)
+    assert ens.method == "circulant" and ens.paths.shape == (12, 100, 2)
+    assert np.array_equal(sample_paths(_LONG_GRID_SEED_1, grid, 12, seed=3).paths, ens.paths)
+    for n in (1, 6, 7):
+        assert np.array_equal(sample_paths(_LONG_GRID_SEED_1, grid, n, seed=3).paths, ens.paths[:n])
+    assert np.all(ens.paths[:, 0, :] == 0.0) == (start == 0.0)  # X(0) = 0 exactly
+    assert np.all(np.isfinite(ens.paths))
+
+
+def test_circulant_draw_matches_cov_matrix_in_distribution():
+    # 65 points from 0 (dimension 130, just past one block); a Bonferroni bound
+    # over the 130 * 131 / 2 distinct entries, family-wise false alarm 1e-3
+    grid = TimeGrid(tuple(np.linspace(0.0, 3.2, 65)))
+    ens = sample_paths(_LONG_GRID_SEED_1, grid, 20_000, seed=4242)
+    assert ens.method == "circulant"
+    emp = empirical_cov(ens)
+    analytic = vfbm.cov_matrix(_LONG_GRID_SEED_1, grid).entries
+    tests = analytic.shape[0] * (analytic.shape[0] + 1) // 2
+    z = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2.0 * tests))
+    assert np.all(np.abs(emp.cov - analytic) <= z * emp.se)
+
+
+def _assert_parent_cholesky_draw(model, times, monkeypatch):
+    grid = TimeGrid(tuple(times))
+    real = vfbm.simulate.cholesky_psd
+    calls = []
+    monkeypatch.setattr(vfbm.simulate, "cholesky_psd", lambda c: calls.append(1) or real(c))
+    n, seed = 9, 5
+    ens = sample_paths(model, grid, n, seed)
+    expected = _draw(real(vfbm.cov_matrix(model, grid).entries), n, seed)
+    assert ens.method == "cholesky" and calls == [1]
+    assert np.array_equal(ens.paths.reshape(n, -1), expected)
+
+
+_NOT_CIRCULANT_GRIDS = {
+    "3-points": (0.0, 0.5, 1.0),
+    "4-points": (0.5, 1.0, 1.5, 2.0),
+    "dim-equals-block": np.linspace(0.0, 6.3, _BLOCK // 2),
+    "negative-start": [k / 20 for k in range(-70, 71)],
+    "gap": [0.1 * k for k in range(100) if k != 50],
+    "from-2Delta": 0.1 * np.arange(2, 102),
+    "irregular": np.linspace(0.0, 3.0, 100) ** 1.5,
+    "one-time-8-ulp-off": np.linspace(0.0, 10.0, 100) + 8 * np.spacing(10.0) * (np.arange(100) == 60),
+}
+
+
+@pytest.mark.parametrize("times", list(_NOT_CIRCULANT_GRIDS.values()), ids=list(_NOT_CIRCULANT_GRIDS))
+def test_other_grids_draw_the_cholesky_paths(times, monkeypatch):
+    _assert_parent_cholesky_draw(_LONG_GRID_SEED_1, times, monkeypatch)
+
+
+def test_a_non_psd_embedding_draws_the_cholesky_paths(monkeypatch):
+    times = np.linspace(0.0, 10.0, 100)
+    delta, k0 = _equispaced(TimeGrid(tuple(times)))
+    assert _circulant_factor(_LONG_GRID_SEED_9, delta, 99) is None
+    assert _circulant_factor(_LONG_GRID_SEED_1, delta, 99) is not None
+    _assert_parent_cholesky_draw(_LONG_GRID_SEED_9, times, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "times, delta, k0",
+    [
+        (np.linspace(0.0, 10.0, 700), 10.0 / 699, 0),
+        (np.linspace(0.5, 50.0, 100), 0.5, 1),
+        (np.arange(0.0, 20.0, 0.1), 0.1, 0),
+        (np.arange(1, 1001) * 0.003, 0.003, 1),
+        ([float(v) for v in ",".join(f"{k / 10:g}" for k in range(201)).split(",")], 0.1, 0),  # 0,0.1,...,20
+        ([float(v) for v in ",".join(f"{k / 100:g}" for k in range(1, 501)).split(",")], 0.01, 1),
+    ],
+    ids=["linspace-from0", "linspace-fromDelta", "arange", "arange-fromDelta", "decimal-text", "decimal-text-fromDelta"],
+)
+def test_equispaced_detection_accepts_rounded_grids(times, delta, k0):
+    spacing = _equispaced(TimeGrid(tuple(times)))
+    assert spacing is not None
+    assert spacing[1] == k0 and spacing[0] == pytest.approx(delta, rel=1e-15)
 
 
 def test_random_mixing_propagates_unexpected_errors(monkeypatch):
