@@ -26,7 +26,6 @@ from .model import (
     _floats,
     _known_keys,
     ensure_valid,
-    load_model,
     mixing_to_dict,
     model_to_dict,
     parse_hurst,
@@ -35,7 +34,7 @@ from .model import (
     validate_hurst,
     validate_model,
 )
-from .representation import causal_factorize, coeffs_from_mixing
+from .representation import causal_factorize, coeffs_from_mixing, load_model
 from .simulate import sample_paths
 from .verify import run_suite
 

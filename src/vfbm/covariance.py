@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError
 from .kernels import _maybe_scalar, _xlogx, sign_coeff
-from .model import CovarianceModel, TimeGrid
+from .model import CovarianceModel, TimeGrid, _check_components
 
 __all__ = ["cov_pair", "cov_matrix"]
 
@@ -61,9 +60,7 @@ def cov_pair(model: CovarianceModel, i: int, j: int, s, t):
     that is not finite (times too large for the exponents) raises ValueError
     naming the first such entry.
     """
-    p = model.p
-    if not (1 <= i <= p) or not (1 <= j <= p):
-        raise IndexOutOfRangeError(f"component indices ({i},{j}) out of range for p = {p}")
+    _check_components(model.p, i, j)
     if i > j:
         return cov_pair(model, j, i, t, s)
     val = _cov_upper(model, i - 1, j - 1, s, t)

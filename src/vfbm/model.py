@@ -17,8 +17,8 @@ positive definiteness is a necessary condition for such a process to exist,
 and ``validate_model`` checks it with a floating-point-safe tolerance.
 
 Model files are JSON with 1-based component indices; either explicit
-coefficients or mixing matrices are accepted (the latter are converted on
-load).
+coefficients or mixing matrices are accepted (``representation.load_model``
+converts the latter).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NearSingularPairError, NotPositiveDefiniteError, OutOfRangeError
+from .errors import IndexOutOfRangeError, NearSingularPairError, NotPositiveDefiniteError, OutOfRangeError
 from .special import CRITICAL_TOL
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "validate_hurst",
     "validate_model",
     "ensure_valid",
-    "load_model",
 ]
 
 # Sums with |H_i+H_j-1| in this open band are rejected: not exactly critical,
@@ -109,6 +108,14 @@ def critical_pairs(hurst: HurstVector) -> np.ndarray:
     return mask
 
 
+def _check_components(p: int, *indices: int) -> None:
+    """IndexOutOfRangeError unless every 1-based component index is in 1..p."""
+    for k in indices:
+        if not 1 <= k <= p:
+            listed = ",".join(map(str, indices))
+            raise IndexOutOfRangeError(f"component indices ({listed}) out of range for p = {p}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -174,22 +181,34 @@ class CovarianceModel:
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrices:
-    """Real p x p weights (A_plus, A_minus) of the two-sided integral representation."""
+    """Real p x p weights (A_plus, A_minus) of the two-sided integral representation.
+
+    The constructor stores read-only copies of both matrices (ValueError for
+    a wrong shape or a non-finite entry) and their Gram products ``app`` =
+    A+ A+^T, ``amm`` = A- A-^T and ``apm`` = A+ A-^T, through which alone
+    they enter the second-order law; A- A+^T is ``apm.T``.
+    """
 
     a_plus: np.ndarray
     a_minus: np.ndarray
     hurst: HurstVector
+    app: np.ndarray = field(init=False, repr=False)
+    amm: np.ndarray = field(init=False, repr=False)
+    apm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.hurst.p
-        ap = np.asarray(self.a_plus, dtype=float)
-        am = np.asarray(self.a_minus, dtype=float)
+        ap = np.array(self.a_plus, dtype=float)
+        am = np.array(self.a_minus, dtype=float)
         if ap.shape != (p, p) or am.shape != (p, p):
             raise ValueError(f"mixing matrices must be {p}x{p}, got {ap.shape} and {am.shape}")
         if not (np.all(np.isfinite(ap)) and np.all(np.isfinite(am))):
             raise ValueError("mixing matrices must be finite")
-        object.__setattr__(self, "a_plus", ap)
-        object.__setattr__(self, "a_minus", am)
+        object.__setattr__(self, "a_plus", _frozen(ap))
+        object.__setattr__(self, "a_minus", _frozen(am))
+        object.__setattr__(self, "app", _frozen(ap @ ap.T))
+        object.__setattr__(self, "amm", _frozen(am @ am.T))
+        object.__setattr__(self, "apm", _frozen(ap @ am.T))
 
     @property
     def p(self) -> int:
@@ -361,16 +380,6 @@ def read_json(path: str | Path):
     value."""
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh, object_pairs_hook=_unique_keys)
-
-
-def load_model(path: str | Path) -> CovarianceModel:
-    """Load a model file, converting mixing matrices to coefficients if needed."""
-    parsed = parse_model(read_json(path))
-    if isinstance(parsed, MixingMatrices):
-        from .representation import coeffs_from_mixing  # deferred: avoids import cycle
-
-        return coeffs_from_mixing(parsed)
-    return parsed
 
 
 def model_to_dict(m: CovarianceModel) -> dict:

@@ -4,9 +4,10 @@ A pair of real p x p matrices (A_plus, A_minus) weights the causal and
 anti-causal kernels of the moving-average construction.  Only the Gram-type
 products
 
-    app = A+ A+*,  amm = A- A-*,  apm = A+ A-*,  amp = A- A+*
+    app = A+ A+*,  amm = A- A-*,  apm = A+ A-*
 
-enter the second-order law.  ``coeffs_from_mixing`` produces the full
+(and A- A+* = apm*) enter the second-order law; ``MixingMatrices`` computes
+them once, on construction.  ``coeffs_from_mixing`` produces the full
 coefficient model (the scales sigma and the c and f arrays of
 ``CovarianceModel``);
 ``assemble_via_kernels`` computes the same covariances directly as the
@@ -28,17 +29,15 @@ performs it by Cholesky.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DegenerateComponentError,
-    InfeasibleFactorizationError,
-    SingularCosineError,
-)
+from .errors import DegenerateComponentError, InfeasibleFactorizationError, SingularCosineError
 from .kernels import KernelKind, kernel_cov
-from .model import CovarianceModel, HurstVector, MixingMatrices, critical_pairs
+from .model import (
+    CovarianceModel, HurstVector, MixingMatrices, _check_components, critical_pairs, parse_model, read_json
+)
 from .special import beta, phi
 
 __all__ = [
@@ -47,6 +46,7 @@ __all__ = [
     "tilde_c",
     "causal_factorize",
     "assemble_via_kernels",
+    "load_model",
 ]
 
 # sigma_i^2 at or below this is treated as a degenerate (zero) component.
@@ -57,38 +57,21 @@ _SYMMETRY_TOL = 1e-10
 _FACTOR_PD_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class AlphaProducts:
-    """The four Gram-type products of the mixing matrices."""
-
-    app: np.ndarray
-    amm: np.ndarray
-    apm: np.ndarray
-    amp: np.ndarray
-
-
-def alpha_products(m: MixingMatrices) -> AlphaProducts:
-    ap, am = m.a_plus, m.a_minus
-    return AlphaProducts(app=ap @ ap.T, amm=am @ am.T, apm=ap @ am.T, amp=am @ ap.T)
-
-
-def _sigma(m: MixingMatrices, a: AlphaProducts, k: int) -> float:
-    """Standard deviation of X_{k+1}(1) from precomputed alpha products."""
-    h = m.hurst[k]
-    sin_h = math.sin(math.pi * h)
-    var = beta(h + 0.5, h + 0.5) / sin_h * (a.app[k, k] + a.amm[k, k] - 2.0 * sin_h * a.apm[k, k])
-    if var <= _DEGENERATE_TOL:
-        raise DegenerateComponentError(k + 1, var)
-    return math.sqrt(var)
-
-
 def sigma_from_mixing(m: MixingMatrices, i: int) -> float:
     """Standard deviation of X_i(1) implied by the mixing matrices (1-based i).
 
-    Raises DegenerateComponentError when the implied variance is not
-    strictly positive.
+    Raises IndexOutOfRangeError unless 1 <= i <= p, and
+    DegenerateComponentError when the implied variance is not strictly
+    positive.
     """
-    return _sigma(m, alpha_products(m), i - 1)
+    _check_components(m.p, i)
+    k = i - 1
+    h = m.hurst[k]
+    sin_h = math.sin(math.pi * h)
+    var = beta(h + 0.5, h + 0.5) / sin_h * (m.app[k, k] + m.amm[k, k] - 2.0 * sin_h * m.apm[k, k])
+    if var <= _DEGENERATE_TOL:
+        raise DegenerateComponentError(i, var)
+    return math.sqrt(var)
 
 
 def coeffs_from_mixing(m: MixingMatrices) -> CovarianceModel:
@@ -101,8 +84,8 @@ def coeffs_from_mixing(m: MixingMatrices) -> CovarianceModel:
     """
     p = m.p
     h = m.hurst
-    a = alpha_products(m)
-    sigma = [_sigma(m, a, k) for k in range(p)]
+    app, amm, apm = m.app, m.amm, m.apm
+    sigma = [sigma_from_mixing(m, i) for i in range(1, p + 1)]
     critical = critical_pairs(h)
     c = np.eye(p)
     f = np.zeros((p, p))
@@ -118,28 +101,27 @@ def coeffs_from_mixing(m: MixingMatrices) -> CovarianceModel:
                 c[i, j] = c[j, i] = (
                     b
                     * (
-                        0.5 * (math.sin(math.pi * hi) + math.sin(math.pi * hj)) * (a.app[i, j] + a.amm[i, j])
-                        - a.apm[i, j]
-                        - a.amp[i, j]
+                        0.5 * (math.sin(math.pi * hi) + math.sin(math.pi * hj)) * (app[i, j] + amm[i, j])
+                        - apm[i, j]
+                        - apm[j, i]
                     )
                     / ss
                 )
-                f[i, j] = (hj - hi) * (a.app[i, j] - a.amm[i, j]) / ss
+                f[i, j] = (hj - hi) * (app[i, j] - amm[i, j]) / ss
                 f[j, i] = -f[i, j]
             else:
                 psi = phi(hi, hj)
                 sin_sum = math.sin(math.pi * (hi + hj))
-                c[i, j] = 2.0 * psi * (a.app[i, j] * ci + a.amm[i, j] * cj - a.apm[i, j] * sin_sum) / ss
-                c[j, i] = 2.0 * psi * (a.app[j, i] * cj + a.amm[j, i] * ci - a.apm[j, i] * sin_sum) / ss
+                c[i, j] = 2.0 * psi * (app[i, j] * ci + amm[i, j] * cj - apm[i, j] * sin_sum) / ss
+                c[j, i] = 2.0 * psi * (app[j, i] * cj + amm[j, i] * ci - apm[j, i] * sin_sum) / ss
     return CovarianceModel(hurst=h, sigma=sigma, c=c, f=f)
 
 
 def tilde_c(m: MixingMatrices) -> np.ndarray:
     """The p x p amplitude matrix C~ of the displayed quadratic form in (A+, A-)."""
-    a = alpha_products(m)
     cos_h = np.diag(np.cos(np.pi * np.asarray(m.hurst.h)))
     sin_h = np.diag(np.sin(np.pi * np.asarray(m.hurst.h)))
-    return cos_h @ a.app + a.amm @ cos_h - sin_h @ a.apm @ cos_h - cos_h @ a.apm @ sin_h
+    return cos_h @ m.app + m.amm @ cos_h - sin_h @ m.apm @ cos_h - cos_h @ m.apm @ sin_h
 
 
 def causal_factorize(c_tilde: np.ndarray, h: HurstVector) -> MixingMatrices:
@@ -181,14 +163,23 @@ def assemble_via_kernels(m: MixingMatrices, i: int, j: int, s, t):
     """E X_i(s) X_j(t) as the alpha-weighted sum of elementary kernel covariances.
 
     This is the independent route used to cross-validate the coefficient
-    mapping and the closed-form covariances.
+    mapping and the closed-form covariances.  Raises IndexOutOfRangeError
+    unless 1 <= i, j <= p.
     """
-    a = alpha_products(m)
+    _check_components(m.p, i, j)
     hi, hj = m.hurst[i - 1], m.hurst[j - 1]
     k = (i - 1, j - 1)
     return (
-        a.app[k] * kernel_cov(KernelKind.PP, hi, hj, s, t)
-        + a.apm[k] * kernel_cov(KernelKind.PM, hi, hj, s, t)
-        + a.amp[k] * kernel_cov(KernelKind.MP, hi, hj, s, t)
-        + a.amm[k] * kernel_cov(KernelKind.MM, hi, hj, s, t)
+        m.app[k] * kernel_cov(KernelKind.PP, hi, hj, s, t)
+        + m.apm[k] * kernel_cov(KernelKind.PM, hi, hj, s, t)
+        + m.apm[k[::-1]] * kernel_cov(KernelKind.MP, hi, hj, s, t)
+        + m.amm[k] * kernel_cov(KernelKind.MM, hi, hj, s, t)
     )
+
+
+def load_model(path: str | Path) -> CovarianceModel:
+    """Load a model file, converting mixing matrices to coefficients if needed."""
+    parsed = parse_model(read_json(path))
+    if isinstance(parsed, MixingMatrices):
+        return coeffs_from_mixing(parsed)
+    return parsed

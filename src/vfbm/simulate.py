@@ -410,11 +410,9 @@ def mc_integral_oracle(m: MixingMatrices, grid: TimeGrid, cfg: McConfig) -> McCo
     )
     worst = 0.0
     for i in range(p):
-        plus_norm = float(np.dot(m.a_plus[i], m.a_plus[i]))
-        minus_norm = float(np.dot(m.a_minus[i], m.a_minus[i]))
-        worst = max(worst, _tail_variance_bound(m.hurst[i], plus_norm, t_max, cfg.trunc))
+        worst = max(worst, _tail_variance_bound(m.hurst[i], float(m.app[i, i]), t_max, cfg.trunc))
         if not causal_only:
-            worst = max(worst, _tail_variance_bound(m.hurst[i], minus_norm, t_max, cfg.trunc))
+            worst = max(worst, _tail_variance_bound(m.hurst[i], float(m.amm[i, i]), t_max, cfg.trunc))
     if worst > 0.02 * scale:
         raise ConfigError(
             f"truncation tail bound {worst:.3e} exceeds budget {0.02 * scale:.3e}; increase trunc"

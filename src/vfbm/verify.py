@@ -271,7 +271,9 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 0) -> dict:
-    """Run one suite (or 'all' for everything except the slow MC check)."""
+    """Run one suite, or 'all' for every suite but 'mc' (about 7 ms), whose
+    4 SE allowance holds per entry, not for the whole table: it fails about
+    1 seed in 190 on a correct program."""
     seed = check_seed(seed)
     if name == "all":
         results = []

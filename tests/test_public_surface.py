@@ -64,8 +64,6 @@ _MODULE_ONLY = {
     "parse_model",
     "model_to_dict",
     "mixing_to_dict",
-    "AlphaProducts",
-    "alpha_products",
     "CovMatrix",
     "cov_same",
     "PathEnsemble",
@@ -110,3 +108,23 @@ def test_package_attributes_read_by_the_benchmark_resolve():
     }
     assert "sample_paths" in used
     assert sorted(n for n in used if not hasattr(vfbm, n)) == []
+
+
+# Each module of the package may import only from the modules before it here.
+_LAYERS = ["errors", "special", "model", "kernels", "representation", "covariance", "simulate", "verify", "cli"]
+
+
+def test_relative_imports_point_to_a_lower_layer():
+    # every relative import, function-local ones included, found by parsing the sources
+    src = Path(vfbm.__file__).resolve().parent
+    assert sorted(path.stem for path in src.glob("*.py") if path.stem != "__init__") == sorted(_LAYERS)
+    upward = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        rank = _LAYERS.index(path.stem)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+                upward += [(path.stem, t) for t in targets if _LAYERS.index(t.split(".")[0]) >= rank]
+    assert upward == []

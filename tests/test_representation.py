@@ -9,14 +9,19 @@ from vfbm import (
     assemble_via_kernels,
     causal_factorize,
     coeffs_from_mixing,
+    cov_pair,
     kernel_cov,
     quadrature_kernel_oracle,
     sigma_from_mixing,
     tilde_c,
     validate_hurst,
 )
-from vfbm.errors import DegenerateComponentError, InfeasibleFactorizationError, SingularCosineError
-from vfbm.representation import alpha_products
+from vfbm.errors import (
+    DegenerateComponentError,
+    IndexOutOfRangeError,
+    InfeasibleFactorizationError,
+    SingularCosineError,
+)
 
 SIGMA_SQ_H03 = 1.8750709111678687222  # B(0.8,0.8)/sin(0.3 pi), 40-digit reference
 
@@ -30,20 +35,52 @@ def _mixing(h, a_plus, a_minus=None):
 
 def test_alpha_products_basic():
     m = _mixing([0.3, 0.6], np.eye(2))
-    a = alpha_products(m)
-    assert np.array_equal(a.app, np.eye(2))
-    assert not a.amm.any() and not a.apm.any() and not a.amp.any()
+    assert np.array_equal(m.app, np.eye(2))
+    assert not m.amm.any() and not m.apm.any()
 
     m2 = _mixing([0.3, 0.6], np.zeros((2, 2)), np.eye(2))
-    a2 = alpha_products(m2)
-    assert np.array_equal(a2.amm, np.eye(2))
-    assert not a2.app.any()
+    assert np.array_equal(m2.amm, np.eye(2))
+    assert not m2.app.any()
 
     rng = np.random.default_rng(3)
     m3 = _mixing([0.3, 0.6], rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
-    a3 = alpha_products(m3)
-    assert np.allclose(a3.amp, a3.apm.T)
-    assert np.all(np.linalg.eigvalsh(a3.app) >= -1e-12)
+    assert np.allclose(m3.apm.T, m3.a_minus @ m3.a_plus.T)
+    assert np.all(np.linalg.eigvalsh(m3.app) >= -1e-12)
+
+
+def test_mixing_matrices_hold_frozen_copies_and_their_gram_products():
+    rng = np.random.default_rng(11)
+    a_plus, a_minus = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    kept_plus, kept_minus = a_plus.copy(), a_minus.copy()
+    m = MixingMatrices(a_plus=a_plus, a_minus=a_minus, hurst=validate_hurst([0.3, 0.6, 0.8]))
+    assert np.array_equal(m.app, kept_plus @ kept_plus.T)
+    assert np.array_equal(m.amm, kept_minus @ kept_minus.T)
+    assert np.array_equal(m.apm, kept_plus @ kept_minus.T)
+    for name in ("a_plus", "a_minus", "app", "amm", "apm"):
+        with pytest.raises(ValueError):
+            getattr(m, name)[0, 0] = 1.0
+    # the caller's arrays stay writable and are not shared with the model
+    assert not np.shares_memory(a_plus, m.a_plus) and not np.shares_memory(a_minus, m.a_minus)
+    a_plus[0, 0] += 1.0
+    a_minus[:] = 0.0
+    assert np.array_equal(m.a_plus, kept_plus) and np.array_equal(m.a_minus, kept_minus)
+    assert np.array_equal(m.app, kept_plus @ kept_plus.T)
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (-1, 1), (3, 1), (1, 0), (1, -1), (1, 3)])
+def test_component_indices_are_checked(i, j):
+    m = _mixing([0.3, 0.6], [[1.0, 0.5], [0.0, 1.0]], [[0.2, 0.0], [0.1, 0.3]])
+    message = f"component indices ({i},{j}) out of range for p = 2"
+    with pytest.raises(IndexOutOfRangeError) as exc:
+        assemble_via_kernels(m, i, j, 0.5, 1.0)
+    assert str(exc.value) == message
+    with pytest.raises(IndexOutOfRangeError) as exc:
+        cov_pair(coeffs_from_mixing(m), i, j, 0.5, 1.0)
+    assert str(exc.value) == message
+    bad = i if j == 1 else j
+    with pytest.raises(IndexOutOfRangeError) as exc:
+        sigma_from_mixing(m, bad)
+    assert str(exc.value) == f"component indices ({bad}) out of range for p = 2"
 
 
 def test_sigma_unit_for_brownian_causal():
