@@ -159,8 +159,13 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # raise, for main to report as one JSON line; subparsers share the class
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="vfbm", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="vfbm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="check a model file (positive definiteness of R)")
@@ -202,9 +207,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
+    except argparse.ArgumentError as exc:
+        return _fail("Usage", str(exc), 2)
     except VfbmError as exc:
         return _fail(exc.code, str(exc), 1)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -80,6 +80,8 @@ def cov_pair(model: CovarianceModel, i: int, j: int, s, t):
 def _cov_upper(model: CovarianceModel, i: int, j: int, s, t):
     """E X_i(s) X_j(t) for 0-based i <= j, as a float or an array."""
     h_i, sigma_i = model.hurst[i], float(model.sigma[i])
+    # cov_same, not the general branch with c_ii = 1, which took cov_matrix (700 points, p = 2) from
+    # 0.044 s to 0.050-0.053 s and moved values by 1 ulp: sigma**2 != sigma*sigma at 4.869891801608191
     if i == j:
         return cov_same(h_i, sigma_i, s, t)
     h_j, sigma_j = model.hurst[j], float(model.sigma[j])

@@ -1,8 +1,9 @@
 """Domain types and validation for vector-fBm parameterizations.
 
-A model is fully specified by the Hurst exponents H_1..H_p, the
-per-component scales sigma_i = std X_i(1), and two p x p coefficient
-arrays (0-based indices below):
+A model is fully specified by the Hurst exponents H_1..H_p (a
+``HurstVector``, which validates them and whose ``critical`` mask sorts
+the pairs into the two regimes below), the per-component scales
+sigma_i = std X_i(1), and two p x p coefficient arrays (0-based indices):
 
 * ``c``: for a general pair (H_i + H_j != 1), c[i, j] = c_ij and
   c[j, i] = c_ji; for a critical pair (H_i + H_j = 1), d_ij in both
@@ -63,9 +64,35 @@ _PAIR_KEYS = frozenset({"i", "j", *_GENERAL_KEYS, *_CRITICAL_KEYS})
 
 @dataclass(frozen=True)
 class HurstVector:
-    """Component self-similarity exponents, each strictly inside (0, 1)."""
+    """Component self-similarity exponents, each a finite number in (0, 1).
+
+    Raises OutOfRangeError (1-based index; 0 when there is none) or, for a
+    pair sum within NEAR_SINGULAR_BAND of 1 but not critical,
+    NearSingularPairError.  ``critical`` is the read-only p x p mask of the
+    critical pairs: i != j with |H_i+H_j-1| <= CRITICAL_TOL.
+    """
 
     h: tuple[float, ...]
+    critical: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        vals = tuple(float(x) for x in self.h)
+        if not vals:
+            raise OutOfRangeError(0, float("nan"))
+        for idx, value in enumerate(vals, start=1):
+            if not (math.isfinite(value) and 0.0 < value < 1.0):
+                raise OutOfRangeError(idx, value)
+        p = len(vals)
+        critical = np.zeros((p, p), dtype=bool)
+        for i in range(p):
+            for j in range(i + 1, p):
+                gap = abs(vals[i] + vals[j] - 1.0)
+                if gap <= CRITICAL_TOL:
+                    critical[i, j] = critical[j, i] = True
+                elif gap < NEAR_SINGULAR_BAND:
+                    raise NearSingularPairError(i + 1, j + 1, vals[i] + vals[j])
+        object.__setattr__(self, "h", vals)
+        object.__setattr__(self, "critical", _frozen(critical))
 
     @property
     def p(self) -> int:
@@ -74,38 +101,10 @@ class HurstVector:
     def __getitem__(self, i: int) -> float:
         return self.h[i]
 
-    def __len__(self) -> int:
-        return len(self.h)
-
 
 def validate_hurst(h: Sequence[float]) -> HurstVector:
-    """Validate exponents and reject near-singular (but not critical) pairs.
-
-    Raises OutOfRangeError (1-based index) when some h_i is outside (0,1),
-    and NearSingularPairError when 0 < |h_i+h_j-1| < 1e-8 beyond the exact
-    critical tolerance for some i != j.
-    """
-    vals = [float(x) for x in h]
-    if len(vals) < 1:
-        raise OutOfRangeError(0, float("nan"))
-    for idx, value in enumerate(vals, start=1):
-        if not (math.isfinite(value) and 0.0 < value < 1.0):
-            raise OutOfRangeError(idx, value)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            gap = abs(vals[i] + vals[j] - 1.0)
-            if CRITICAL_TOL < gap < NEAR_SINGULAR_BAND:
-                raise NearSingularPairError(i + 1, j + 1, vals[i] + vals[j])
-    return HurstVector(tuple(vals))
-
-
-def critical_pairs(hurst: HurstVector) -> np.ndarray:
-    """Boolean p x p mask of the critical pairs: i != j and H_i + H_j = 1
-    within the exact-equality tolerance.  Every other pair is general."""
-    h = np.asarray(hurst.h, dtype=float)
-    mask = np.abs(h[:, None] + h[None, :] - 1.0) <= CRITICAL_TOL
-    np.fill_diagonal(mask, False)
-    return mask
+    """The validated exponents of h; see ``HurstVector`` for the errors raised."""
+    return HurstVector(tuple(h))
 
 
 def _check_components(p: int, *indices: int) -> None:
@@ -128,10 +127,10 @@ class CovarianceModel:
     ``sigma`` defaults to ones, ``c`` to the identity and ``f`` to zeros,
     i.e. independent unit-scale components.  The constructor rejects wrong
     shapes, non-finite values (also an R that overflows), sigma <= 0, a
-    diagonal of ``c`` other than 1,
-    an asymmetric ``c`` on a critical pair, and an ``f`` that is not
-    antisymmetric or is nonzero on a general pair (ValueError).  ``critical``
-    is the mask of ``critical_pairs`` and ``r`` the matrix R = (c + c^T)/2.
+    diagonal of ``c`` other than 1, an asymmetric ``c`` on a critical pair,
+    and an ``f`` that is not antisymmetric or is nonzero on a general pair
+    (ValueError).  ``critical`` is ``hurst.critical`` itself, and ``r`` is
+    R = (c + c^T)/2.
     """
 
     hurst: HurstVector
@@ -157,7 +156,7 @@ class CovarianceModel:
             raise ValueError(f"sigma must be positive, got {sigma.tolist()}")
         if not (c.diagonal() == 1.0).all():
             raise ValueError(f"the diagonal of c must be 1, got {c.diagonal().tolist()}")
-        critical = critical_pairs(self.hurst)
+        critical = self.hurst.critical  # the exponents' mask, shared, not copied
         if ((c != c.T) & critical).any():
             raise ValueError("c must be symmetric on critical pairs (c_ij = c_ji = d_ij)")
         if not (f == -f.T).all():
@@ -171,7 +170,7 @@ class CovarianceModel:
         object.__setattr__(self, "sigma", _frozen(sigma))
         object.__setattr__(self, "c", _frozen(c))
         object.__setattr__(self, "f", _frozen(f))
-        object.__setattr__(self, "critical", _frozen(critical))
+        object.__setattr__(self, "critical", critical)
         object.__setattr__(self, "r", _frozen(r))
 
     @property
@@ -336,7 +335,7 @@ def parse_model(obj: Mapping) -> CovarianceModel | MixingMatrices:
     entries = coeffs.get("pairs", [])
     if not isinstance(entries, list):
         raise ValueError(f"pairs must be a list, got {entries!r}")
-    critical = critical_pairs(hurst)
+    critical = hurst.critical
     c = np.eye(p)
     f = np.zeros((p, p))
     seen = set()

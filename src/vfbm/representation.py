@@ -35,9 +35,7 @@ import numpy as np
 
 from .errors import DegenerateComponentError, InfeasibleFactorizationError, SingularCosineError
 from .kernels import KernelKind, kernel_cov
-from .model import (
-    CovarianceModel, HurstVector, MixingMatrices, _check_components, critical_pairs, parse_model, read_json
-)
+from .model import CovarianceModel, HurstVector, MixingMatrices, _check_components, parse_model, read_json
 from .special import beta, phi
 
 __all__ = [
@@ -86,7 +84,6 @@ def coeffs_from_mixing(m: MixingMatrices) -> CovarianceModel:
     h = m.hurst
     app, amm, apm = m.app, m.amm, m.apm
     sigma = [sigma_from_mixing(m, i) for i in range(1, p + 1)]
-    critical = critical_pairs(h)
     c = np.eye(p)
     f = np.zeros((p, p))
     for i in range(p):
@@ -96,7 +93,7 @@ def coeffs_from_mixing(m: MixingMatrices) -> CovarianceModel:
             hj = h[j]
             cj = math.cos(math.pi * hj)
             ss = sigma[i] * sigma[j]
-            if critical[i, j]:
+            if h.critical[i, j]:
                 b = beta(hi + 0.5, hj + 0.5)
                 c[i, j] = c[j, i] = (
                     b

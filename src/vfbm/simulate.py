@@ -396,7 +396,7 @@ def mc_integral_oracle(m: MixingMatrices, grid: TimeGrid, cfg: McConfig) -> McCo
     """
     p = m.p
     times = np.asarray(grid.times)
-    t_max = float(np.max(np.abs(times))) if grid.n else 0.0
+    t_max = float(np.max(np.abs(times)))
     if t_max >= cfg.trunc / 2.0:
         raise ConfigError(f"grid times must lie within (-trunc/2, trunc/2); got |t| up to {t_max}")
 

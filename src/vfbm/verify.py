@@ -40,6 +40,9 @@ __all__ = ["random_hurst", "random_mixing", "run_suite", "SUITES"]
 _H_LO, _H_HI = 0.08, 0.92
 _PAIR_SUM_MARGIN = 1e-3
 
+_QUADRATURE_TOL = 1e-6  # the quadrature suite's tolerance
+_MC_REPS = 20_000  # the Monte Carlo suite's replications
+
 
 def random_hurst(rng: np.random.Generator, p: int, critical_pair: bool = False) -> HurstVector:
     """Exponents with all pair sums clear of 1; optionally pair (1,2) exactly critical."""
@@ -47,26 +50,16 @@ def random_hurst(rng: np.random.Generator, p: int, critical_pair: bool = False) 
         h = rng.uniform(_H_LO, _H_HI, size=p)
         if critical_pair:
             h[1] = 1.0 - h[0]
-        ok = True
-        for i in range(p):
-            for j in range(i + 1, p):
-                if critical_pair and (i, j) == (0, 1):
-                    continue
-                if abs(h[i] + h[j] - 1.0) < _PAIR_SUM_MARGIN:
-                    ok = False
-        if ok:
+        pairs = ((i, j) for i in range(p) for j in range(i + 1, p) if (i, j) != (0, 1) or not critical_pair)
+        if all(abs(h[i] + h[j] - 1.0) >= _PAIR_SUM_MARGIN for i, j in pairs):
             return validate_hurst(h.tolist())
 
 
 def random_mixing(
-    rng: np.random.Generator,
-    p: int,
-    critical_pair: bool = False,
-    a_minus_scale: float = 1.0,
-    hurst: HurstVector | None = None,
+    rng: np.random.Generator, p: int, critical_pair: bool = False, a_minus_scale: float = 1.0
 ) -> MixingMatrices:
     """A random representation with non-degenerate components."""
-    h = hurst if hurst is not None else random_hurst(rng, p, critical_pair)
+    h = random_hurst(rng, p, critical_pair)
     while True:
         m = MixingMatrices(
             a_plus=rng.normal(size=(p, p)),
@@ -222,7 +215,7 @@ def suite_factorization(seed: int, n_models: int = 20) -> list[dict]:
     ]
 
 
-def suite_quadrature(seed: int, tol: float = 1e-6) -> list[dict]:
+def suite_quadrature(seed: int) -> list[dict]:
     """Closed-form kernels vs the deterministic quadrature oracle."""
     configs = [
         (KernelKind.PP, 0.3, 0.6, 1.0, 2.0),
@@ -238,13 +231,13 @@ def suite_quadrature(seed: int, tol: float = 1e-6) -> list[dict]:
     for kind, hi, hj, s, t in configs:
         gap = abs(
             kernel_cov(kind, hi, hj, s, t)
-            - quadrature_kernel_oracle(kind, hi, hj, s, t, tol=tol / 5.0)
+            - quadrature_kernel_oracle(kind, hi, hj, s, t, tol=_QUADRATURE_TOL / 5.0)
         )
         worst = _fold(worst, gap)
-    return [_record("quadrature/kernel_agreement", worst, tol)]
+    return [_record("quadrature/kernel_agreement", worst, _QUADRATURE_TOL)]
 
 
-def suite_mc(seed: int, n_reps: int = 20_000) -> list[dict]:
+def suite_mc(seed: int) -> list[dict]:
     """Small end-to-end Monte Carlo check of the discretized construction."""
     h = validate_hurst([0.3, 0.6])
     m = MixingMatrices(
@@ -253,7 +246,7 @@ def suite_mc(seed: int, n_reps: int = 20_000) -> list[dict]:
     grid = TimeGrid((0.5, 1.0, 2.0))
     # step 0.05 as in acceptance criterion 7: at 0.1 the discretization deficit of
     # about 2.7 SE failed the 4 SE allowance on some seeds
-    table = mc_integral_oracle(m, grid, McConfig(n_reps=n_reps, grid_step=0.05, trunc=120.0, seed=seed))
+    table = mc_integral_oracle(m, grid, McConfig(n_reps=_MC_REPS, grid_step=0.05, trunc=120.0, seed=seed))
     analytic = cov_matrix(coeffs_from_mixing(m), grid).entries
     allowance = np.maximum(4.0 * table.se, 0.02 * np.max(np.abs(analytic)))
     ratio = float(np.max(np.abs(table.cov - analytic) / allowance))

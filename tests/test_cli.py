@@ -249,6 +249,7 @@ _SIMULATE_HUGE = ("simulate", "--model", "in.json", "--grid", "0.5,1", "--n", st
 _COV_OVERFLOW = ("cov", "--model", "in.json", "--grid", "0.5,1,1e308", "--out", "cov.csv")
 _COV_EMPTY_FIELD = ("cov", "--model", "in.json", "--grid", "0.5,,1, ", "--out", "cov.csv")
 _COEFFS = ("coeffs", "--mixing", "in.json")
+_SIMULATE_N = ("simulate", "--model", "in.json", "--grid", "0.5,1", "--n")
 
 
 def _case(content, id, error="ValueError", argv=_VALIDATE, match=""):
@@ -318,6 +319,12 @@ _DUPLICATE_C_TILDE_KEY = f'{{"hurst": [0.3, 0.6], "c_tilde": [[1.0, 0.0], [0.0, 
               match="differs from the file's hurst [0.3, 0.7]"),
         _case({"hurst": [0.3, 0.6], "c_tilde": _CT}, "c-tilde-empty-hurst-flag", argv=(*_FACTORIZE, "--hurst", ""),
               match="float"),
+        # command lines that argparse rejects
+        _case(None, "simulate-n-not-int", error="Usage", argv=(*_SIMULATE_N, "abc", "--out", "paths.csv"),
+              match="invalid int value: 'abc'"),
+        _case(None, "simulate-missing-out", error="Usage", argv=(*_SIMULATE_N, "2"), match="--out"),
+        _case(None, "no-subcommand", error="Usage", argv=(), match="required: command"),
+        _case(None, "unknown-subcommand", error="Usage", argv=("frobnicate",), match="invalid choice: 'frobnicate'"),
     ],
 )
 def test_usage_error_exit_code(tmp_path, argv, content, error, match):
@@ -329,6 +336,13 @@ def test_usage_error_exit_code(tmp_path, argv, content, error, match):
     err = json.loads(res.stderr)
     assert err["error"] == error
     assert match in err["message"], err["message"]
+
+
+def test_help_still_prints_and_exits_0(tmp_path):
+    for argv in (("-h",), ("simulate", "-h")):
+        res = _run(*argv, cwd=tmp_path)
+        assert res.returncode == 0 and res.stderr == "", res.stderr
+        assert res.stdout.startswith("usage: vfbm"), res.stdout
 
 
 def test_verify_subcommand(tmp_path):

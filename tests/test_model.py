@@ -4,13 +4,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vfbm
 from vfbm import CovarianceModel, TimeGrid, validate_hurst, validate_model
 from vfbm.errors import NearSingularPairError, NotPositiveDefiniteError, OutOfRangeError, VfbmError
-from vfbm.model import critical_pairs
+from vfbm.model import HurstVector
+from vfbm.special import CRITICAL_TOL
 from vfbm.verify import random_mixing
 
 
@@ -21,7 +22,7 @@ def test_validate_hurst_accepts_scalar_case():
 
 def test_validate_hurst_accepts_exact_critical_pair():
     hv = validate_hurst([0.3, 0.7])
-    assert critical_pairs(hv)[0, 1]
+    assert hv.critical[0, 1]
 
 
 def test_validate_hurst_rejects_out_of_range():
@@ -32,23 +33,54 @@ def test_validate_hurst_rejects_out_of_range():
         validate_hurst([0.0, 0.4])
     with pytest.raises(OutOfRangeError):
         validate_hurst([])
+    with pytest.raises(OutOfRangeError) as exc:  # the type checks itself, whoever builds it
+        HurstVector((1.7, 0.3))
+    assert exc.value.index == 1
 
 
 def test_validate_hurst_rejects_near_singular_band():
     with pytest.raises(NearSingularPairError) as exc:
         validate_hurst([0.3, 0.7 + 1e-10])
     assert (exc.value.i, exc.value.j) == (1, 2)
+    with pytest.raises(NearSingularPairError):
+        HurstVector((0.3, 0.7 + 1e-10))
     # just outside the band: legal, classified general
     hv = validate_hurst([0.3, 0.7 + 1e-7])
-    assert not critical_pairs(hv)[0, 1]
+    assert not hv.critical[0, 1]
 
 
 @pytest.mark.parametrize("pair,critical", [((0.3, 0.6), False), ((0.3, 0.7), True), ((0.5, 0.5), True)])
-def test_critical_pairs(pair, critical):
-    mask = critical_pairs(validate_hurst(list(pair)))
+def test_critical_mask(pair, critical):
+    mask = validate_hurst(list(pair)).critical
     assert mask[0, 1] == critical
     assert mask[1, 0] == critical  # symmetric
     assert not mask[0, 0] and not mask[1, 1]  # the diagonal is never a critical pair
+
+
+@st.composite
+def _exponents(draw):
+    """1 to 5 exponents in (0, 1), with 1/2 and exactly critical pairs (1,2) drawn often."""
+    h = draw(st.lists(st.sampled_from([0.5, 0.3, 0.7]) | st.floats(1e-6, 1 - 1e-6), min_size=1, max_size=5))
+    if len(h) > 1 and draw(st.booleans()):
+        h[1] = 1.0 - h[0]
+    return h
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_exponents())
+def test_critical_mask_matches_the_pair_sums(h):
+    try:
+        hv = HurstVector(tuple(h))
+    except NearSingularPairError:
+        assume(False)
+    a = np.array(h)
+    expected = np.abs(a[:, None] + a[None, :] - 1.0) <= CRITICAL_TOL
+    np.fill_diagonal(expected, False)
+    assert hv.critical.dtype == bool and np.array_equal(hv.critical, expected)
+    with pytest.raises(ValueError):  # read-only
+        hv.critical[0, 0] = True
+    # the model shares the exponents' mask instead of building its own
+    assert CovarianceModel(hv).critical is hv.critical
 
 
 def test_pair_coefficients_enforce_single_style():
@@ -200,7 +232,7 @@ def _models(draw):
         hurst = validate_hurst(h)
     except NearSingularPairError:
         hurst = validate_hurst([0.3, 0.7, 0.55, 0.6][:p])
-    critical = vfbm.model.critical_pairs(hurst)
+    critical = hurst.critical
     sigma = draw(st.lists(st.floats(1e-300, 1e300), min_size=p, max_size=p))
     c = np.eye(p)
     f = np.zeros((p, p))

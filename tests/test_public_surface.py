@@ -60,7 +60,6 @@ _EXPORTED = {
 _MODULE_ONLY = {
     "HurstVector",
     "ValidationReport",
-    "critical_pairs",
     "parse_model",
     "model_to_dict",
     "mixing_to_dict",
