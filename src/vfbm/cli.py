@@ -10,6 +10,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -146,8 +147,9 @@ def _cmd_simulate(args) -> int:
     ens = sample_paths(model, grid, args.n, args.seed)
     rows = enumerate(ens.paths.reshape(ens.n_paths, -1))  # one block per path
     _write_csv(args.out, "rep,time,component,value", _grid_labels(grid, model.p), rows)
+    model_hash = hashlib.sha256(json.dumps(model_to_dict(model), sort_keys=True).encode("utf-8")).hexdigest()
     sys.stdout.write(
-        json.dumps({"n": ens.n_paths, "seed": ens.seed, "model_hash": ens.model_hash, "method": ens.method,
+        json.dumps({"n": ens.n_paths, "seed": args.seed, "model_hash": model_hash, "method": ens.method,
                     "out": args.out}) + "\n"
     )
     return 0
@@ -214,10 +216,10 @@ def main(argv=None) -> int:
         return _fail("Usage", str(exc), 2)
     except VfbmError as exc:
         return _fail(exc.code, str(exc), 1)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    # MemoryError: a request too large to allocate, e.g. simulate --n 10**12; a
+    # json.JSONDecodeError is a ValueError
+    except (OSError, KeyError, ValueError, MemoryError) as exc:
         return _fail(type(exc).__name__, str(exc), 2)
-    except MemoryError as exc:  # a request too large to allocate, e.g. simulate --n 10**12
-        return _fail("MemoryError", str(exc), 2)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,6 @@ process over a time grid, ordered (time, component) lexicographically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +63,7 @@ def cov_pair(model: CovarianceModel, i: int, j: int, s, t):
     if i > j:
         return cov_pair(model, j, i, t, s)
     val = _cov_upper(model, i - 1, j - 1, s, t)
-    # math.isfinite for a float (a scalar call): it takes 0.05 us where np.isfinite
-    # takes 3.6 us, and a whole scalar call 9-26 us
-    if not (math.isfinite(val) if isinstance(val, float) else np.isfinite(val).all()):
+    if not np.isfinite(val).all():
         s, t, val = np.broadcast_arrays(s, t, val)
         k = int(np.argmin(np.isfinite(val)))  # the first non-finite entry, in C order
         raise ValueError(

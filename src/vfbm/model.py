@@ -19,7 +19,8 @@ and ``validate_model`` checks it with a floating-point-safe tolerance.
 
 Model files are JSON with 1-based component indices; either explicit
 coefficients or mixing matrices are accepted (``representation.load_model``
-converts the latter).
+converts the latter).  ``MixingMatrices`` computes the scales sigma once, so
+a mixing with a zero-variance component is rejected when built or parsed.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, NearSingularPairError, NotPositiveDefiniteError, OutOfRangeError
-from .special import CRITICAL_TOL
+from .errors import (DegenerateComponentError, IndexOutOfRangeError, NearSingularPairError,
+                     NotPositiveDefiniteError, OutOfRangeError)
+from .special import CRITICAL_TOL, beta
 
 __all__ = [
     "CovarianceModel",
@@ -50,6 +52,9 @@ NEAR_SINGULAR_BAND = 1e-8
 
 # lambda_min > -PD_TOL * max(1, lambda_max) counts as positive (semi)definite.
 PD_TOL = 1e-10
+
+# sigma_i^2 at or below this is treated as a degenerate (zero) component.
+_DEGENERATE_TOL = 1e-14
 
 # Coefficient keys of a model-file pair entry, by regime.
 _GENERAL_KEYS = ("c_ij", "c_ji")
@@ -183,9 +188,15 @@ class MixingMatrices:
     """Real p x p weights (A_plus, A_minus) of the two-sided integral representation.
 
     The constructor stores read-only copies of both matrices (ValueError for
-    a wrong shape or a non-finite entry) and their Gram products ``app`` =
+    a wrong shape or a non-finite entry), their Gram products ``app`` =
     A+ A+^T, ``amm`` = A- A-^T and ``apm`` = A+ A-^T, through which alone
-    they enter the second-order law; A- A+^T is ``apm.T``.
+    they enter the second-order law (A- A+^T is ``apm.T``), and the scales
+    ``sigma``, sigma_i = std X_i(1), from
+
+        sigma_i^2 = B(H_i+1/2, H_i+1/2) / sin(pi H_i) * (app + amm - 2 sin(pi H_i) apm)_ii.
+
+    A component with sigma_i^2 <= 1e-14 has no coefficient model and raises
+    DegenerateComponentError (1-based index).
     """
 
     a_plus: np.ndarray
@@ -194,6 +205,7 @@ class MixingMatrices:
     app: np.ndarray = field(init=False, repr=False)
     amm: np.ndarray = field(init=False, repr=False)
     apm: np.ndarray = field(init=False, repr=False)
+    sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.hurst.p
@@ -203,11 +215,21 @@ class MixingMatrices:
             raise ValueError(f"mixing matrices must be {p}x{p}, got {ap.shape} and {am.shape}")
         if not (np.all(np.isfinite(ap)) and np.all(np.isfinite(am))):
             raise ValueError("mixing matrices must be finite")
+        app, amm, apm = ap @ ap.T, am @ am.T, ap @ am.T
+        sigma = np.empty(p)
+        for k in range(p):
+            h = self.hurst[k]
+            sin_h = math.sin(math.pi * h)
+            var = beta(h + 0.5, h + 0.5) / sin_h * (app[k, k] + amm[k, k] - 2.0 * sin_h * apm[k, k])
+            if var <= _DEGENERATE_TOL:
+                raise DegenerateComponentError(k + 1, var)
+            sigma[k] = math.sqrt(var)
         object.__setattr__(self, "a_plus", _frozen(ap))
         object.__setattr__(self, "a_minus", _frozen(am))
-        object.__setattr__(self, "app", _frozen(ap @ ap.T))
-        object.__setattr__(self, "amm", _frozen(am @ am.T))
-        object.__setattr__(self, "apm", _frozen(ap @ am.T))
+        object.__setattr__(self, "app", _frozen(app))
+        object.__setattr__(self, "amm", _frozen(amm))
+        object.__setattr__(self, "apm", _frozen(apm))
+        object.__setattr__(self, "sigma", _frozen(sigma))
 
     @property
     def p(self) -> int:
@@ -312,8 +334,9 @@ def parse_model(obj: Mapping) -> CovarianceModel | MixingMatrices:
 
     A pair entry may come in either orientation: {"i": 2, "j": 1, ...} gives
     (c_21, c_12) or (d_21, f_21) = (d_12, -f_12).  A mixing file without
-    ``a_minus`` is causal (A_minus = 0).  Malformed input, an unknown key at
-    any level included, raises ValueError (or KeyError for a missing field).
+    ``a_minus`` is causal (A_minus = 0); one with a zero-variance component
+    raises DegenerateComponentError.  Malformed input, an unknown key at any
+    level included, raises ValueError (or KeyError for a missing field).
     """
     if not isinstance(obj, Mapping):
         raise ValueError(f"a model must be a JSON object, got {obj!r}")

@@ -7,9 +7,9 @@ products
     app = A+ A+*,  amm = A- A-*,  apm = A+ A-*
 
 (and A- A+* = apm*) enter the second-order law; ``MixingMatrices`` computes
-them once, on construction.  ``coeffs_from_mixing`` produces the full
-coefficient model (the scales sigma and the c and f arrays of
-``CovarianceModel``);
+them, and from them the scales sigma, once, on construction.
+``coeffs_from_mixing`` produces the full coefficient model (the scales
+sigma and the c and f arrays of ``CovarianceModel``);
 ``assemble_via_kernels`` computes the same covariances directly as the
 alpha-weighted sum of elementary kernel covariances and serves as the
 independent oracle for that mapping.
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateComponentError, InfeasibleFactorizationError, SingularCosineError
+from .errors import InfeasibleFactorizationError, SingularCosineError
 from .kernels import KernelKind, kernel_cov
 from .model import CovarianceModel, HurstVector, MixingMatrices, _check_components, parse_model, read_json
 from .special import beta, phi
@@ -47,29 +47,16 @@ __all__ = [
     "load_model",
 ]
 
-# sigma_i^2 at or below this is treated as a degenerate (zero) component.
-_DEGENERATE_TOL = 1e-14
-
 # Factorization feasibility thresholds on M = cos(H pi)^(-1) C~.
 _SYMMETRY_TOL = 1e-10
 _FACTOR_PD_TOL = 1e-12
 
 
 def sigma_from_mixing(m: MixingMatrices, i: int) -> float:
-    """Standard deviation of X_i(1) implied by the mixing matrices (1-based i).
-
-    Raises IndexOutOfRangeError unless 1 <= i <= p, and
-    DegenerateComponentError when the implied variance is not strictly
-    positive.
-    """
+    """Standard deviation of X_i(1) implied by the mixing matrices (1-based i),
+    ``m.sigma[i - 1]``; IndexOutOfRangeError unless 1 <= i <= p."""
     _check_components(m.p, i)
-    k = i - 1
-    h = m.hurst[k]
-    sin_h = math.sin(math.pi * h)
-    var = beta(h + 0.5, h + 0.5) / sin_h * (m.app[k, k] + m.amm[k, k] - 2.0 * sin_h * m.apm[k, k])
-    if var <= _DEGENERATE_TOL:
-        raise DegenerateComponentError(i, var)
-    return math.sqrt(var)
+    return float(m.sigma[i - 1])
 
 
 def coeffs_from_mixing(m: MixingMatrices) -> CovarianceModel:
@@ -82,8 +69,7 @@ def coeffs_from_mixing(m: MixingMatrices) -> CovarianceModel:
     """
     p = m.p
     h = m.hurst
-    app, amm, apm = m.app, m.amm, m.apm
-    sigma = [sigma_from_mixing(m, i) for i in range(1, p + 1)]
+    app, amm, apm, sigma = m.app, m.amm, m.apm, m.sigma
     c = np.eye(p)
     f = np.zeros((p, p))
     for i in range(p):

@@ -48,8 +48,6 @@ draw equal a k-path draw.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -58,8 +56,7 @@ import numpy as np
 from .covariance import cov_matrix, cov_pair
 from .errors import ConfigError, NotPsdError
 from .kernels import kernel_factor
-from .model import CovarianceModel, MixingMatrices, TimeGrid, model_to_dict
-from .representation import sigma_from_mixing
+from .model import CovarianceModel, MixingMatrices, TimeGrid
 
 __all__ = [
     "McConfig",
@@ -105,9 +102,7 @@ class PathEnsemble:
     """N sampled skeletons of the p-variate process on a common grid."""
 
     paths: np.ndarray  # shape (N, n_times, p)
-    seed: int
-    model_hash: str
-    method: str = "cholesky"  # or "circulant": which exact draw made the paths
+    method: str  # "cholesky" or "circulant": which exact draw made the paths
 
     @property
     def n_paths(self) -> int:
@@ -327,10 +322,7 @@ def sample_paths(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -> P
     if paths is None:
         method = "cholesky"
         paths = _draw(cholesky_psd(cov_matrix(model, grid).entries), n, seed).reshape(n, grid.n, model.p)
-    digest = hashlib.sha256(
-        json.dumps(model_to_dict(model), sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    return PathEnsemble(paths=paths, seed=seed, model_hash=digest, method=method)
+    return PathEnsemble(paths=paths, method=method)
 
 
 def empirical_cov(e: PathEnsemble) -> EmpiricalCovariance:
@@ -362,9 +354,7 @@ def _build_cells(grid: TimeGrid, cfg: McConfig, right_edge: float):
         marks.update(np.clip([pnt - 1.0, pnt + 1.0], left_edge, right_edge))
     bounds = sorted(marks)
     edges = [left_edge]
-    for a, b in zip(bounds, bounds[1:]):
-        if b <= a:
-            continue
+    for a, b in zip(bounds, bounds[1:]):  # a sorted set: b > a
         mid = 0.5 * (a + b)
         step = fine if any(abs(mid - pnt) < 1.0 for pnt in sing) else cfg.grid_step
         k = max(1, int(round((b - a) / step)))
@@ -404,9 +394,8 @@ def mc_integral_oracle(m: MixingMatrices, grid: TimeGrid, cfg: McConfig) -> McCo
     right_edge = max(float(np.max(times)), 0.0) + 1.0 if causal_only else cfg.trunc
 
     # truncation budget: compare the analytic tail bound with the variance scale
-    sigma = [sigma_from_mixing(m, i) for i in range(1, p + 1)]
     scale = max(
-        sigma[i] ** 2 * max(t_max, 1e-12) ** (2.0 * m.hurst[i]) for i in range(p)
+        m.sigma[i] ** 2 * max(t_max, 1e-12) ** (2.0 * m.hurst[i]) for i in range(p)
     )
     worst = 0.0
     for i in range(p):

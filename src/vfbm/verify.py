@@ -61,17 +61,14 @@ def random_mixing(
     """A random representation with non-degenerate components."""
     h = random_hurst(rng, p, critical_pair)
     while True:
-        m = MixingMatrices(
-            a_plus=rng.normal(size=(p, p)),
-            a_minus=a_minus_scale * rng.normal(size=(p, p)),
-            hurst=h,
-        )
         try:
-            for i in range(1, p + 1):
-                sigma_from_mixing(m, i)
+            return MixingMatrices(
+                a_plus=rng.normal(size=(p, p)),
+                a_minus=a_minus_scale * rng.normal(size=(p, p)),
+                hurst=h,
+            )
         except DegenerateComponentError:
             continue
-        return m
 
 
 def _fold(worst: float, *values: float) -> float:

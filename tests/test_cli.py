@@ -106,6 +106,11 @@ def test_simulate_idempotent_and_inputs_untouched(tmp_path, mixing_file):
     assert b.returncode == 0, b.stderr
     assert out1.read_bytes() == out2.read_bytes()  # byte-identical rerun
     assert hashlib.sha256(model.read_bytes()).hexdigest() == before
+    report_a, report_b = json.loads(a.stdout), json.loads(b.stdout)
+    assert report_a["model_hash"] == report_b["model_hash"] and report_a["seed"] == 9
+    # model_hash is the SHA-256 of the model's canonical JSON form
+    canonical = json.dumps(vfbm.model.model_to_dict(vfbm.load_model(model)), sort_keys=True)
+    assert report_a["model_hash"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     header, first = out1.read_text().splitlines()[:2]
     assert header == "rep,time,component,value"
     assert first.startswith("0,0.5,1,")

@@ -4,12 +4,18 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import vfbm
 from vfbm import CovarianceModel, TimeGrid, validate_hurst, validate_model
-from vfbm.errors import NearSingularPairError, NotPositiveDefiniteError, OutOfRangeError, VfbmError
+from vfbm.errors import (
+    DegenerateComponentError,
+    NearSingularPairError,
+    NotPositiveDefiniteError,
+    OutOfRangeError,
+    VfbmError,
+)
 from vfbm.model import HurstVector
 from vfbm.special import CRITICAL_TOL
 from vfbm.verify import random_mixing
@@ -190,6 +196,13 @@ def test_load_model_converts_mixing_files(tmp_path):
     assert model.c[0, 1] == pytest.approx(ref.c[0, 1], rel=1e-15)
 
 
+def test_parse_model_rejects_a_degenerate_mixing_file():
+    # a_minus defaults to 0, so component 1, with a zero a_plus row, has no variance
+    with pytest.raises(DegenerateComponentError) as exc:
+        vfbm.model.parse_model({"hurst": [0.3, 0.6], "a_plus": [[0, 0], [0, 1]]})
+    assert exc.value.index == 1
+
+
 def test_parse_model_rejects_wrong_coefficient_style():
     with pytest.raises(ValueError):
         vfbm.model.parse_model(
@@ -318,7 +331,10 @@ def _model_dict_with_a_key_renamed(draw):
         obj = {"hurst": [0.3, 0.6, 0.55][:p], "a_plus": draw(matrix)}
         if draw(st.booleans()):
             obj["a_minus"] = draw(matrix)  # optional: a mixing file without it is causal
-    vfbm.model.parse_model(obj)  # valid before the rename
+    try:
+        vfbm.model.parse_model(obj)  # valid before the rename
+    except DegenerateComponentError:
+        reject()  # e.g. an all-zero a_plus: no model to rename a key of
     levels = [obj]
     if "coefficients" in obj:
         levels += [obj["coefficients"], *obj["coefficients"]["pairs"]]

@@ -56,7 +56,8 @@ def test_mixing_matrices_hold_frozen_copies_and_their_gram_products():
     assert np.array_equal(m.app, kept_plus @ kept_plus.T)
     assert np.array_equal(m.amm, kept_minus @ kept_minus.T)
     assert np.array_equal(m.apm, kept_plus @ kept_minus.T)
-    for name in ("a_plus", "a_minus", "app", "amm", "apm"):
+    assert [sigma_from_mixing(m, i) for i in (1, 2, 3)] == m.sigma.tolist()
+    for name in ("a_plus", "a_minus", "app", "amm", "apm", "sigma"):
         with pytest.raises(ValueError):
             getattr(m, name)[0, 0] = 1.0
     # the caller's arrays stay writable and are not shared with the model
@@ -96,14 +97,22 @@ def test_sigma_frozen_reference_and_quadrature():
 
 
 def test_sigma_degenerate_component():
-    m = _mixing([0.3, 0.6], [[0.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(DegenerateComponentError) as exc:
-        sigma_from_mixing(m, 1)
-    assert exc.value.index == 1
+    with pytest.raises(DegenerateComponentError) as exc:  # a zero row in A+, A- = 0
+        _mixing([0.3, 0.6], [[0.0, 0.0], [0.0, 1.0]])
+    assert exc.value.index == 1 and exc.value.variance == 0.0
+    with pytest.raises(DegenerateComponentError) as exc:  # the 1-based index of the second row
+        _mixing([0.3, 0.6], [[1.0, 0.0], [0.0, 0.0]])
+    assert exc.value.index == 2
     # H = 1/2 with equal rows in both matrices also cancels to zero variance
-    m2 = _mixing([0.5], [[1.0]], [[1.0]])
-    with pytest.raises(DegenerateComponentError):
-        sigma_from_mixing(m2, 1)
+    with pytest.raises(DegenerateComponentError) as exc:
+        _mixing([0.5], [[1.0]], [[1.0]])
+    assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("a_plus, a_minus", [(np.eye(3), np.eye(2)), (np.eye(2), np.eye(3)), (np.ones(2), np.eye(2))])
+def test_mixing_with_a_wrong_shape_is_rejected(a_plus, a_minus):
+    with pytest.raises(ValueError, match="mixing matrices must be 2x2"):
+        MixingMatrices(a_plus=a_plus, a_minus=a_minus, hurst=validate_hurst([0.3, 0.6]))
 
 
 def test_identity_mixing_gives_independent_components():

@@ -193,9 +193,14 @@ def test_cholesky_property_rejects_a_psd_matrix_minus_a_rank_one_term(case):
 @pytest.mark.xfail(strict=True, raises=NotPsdError, reason="unpivoted elimination: a small pivot within the rank "
                    "amplifies rounding past the -1e-10 max|C_ij| rule")
 def test_cholesky_factors_a_generic_low_rank_matrix():
-    # rank 17 of 20; the 17th pivot is 5.7e-8 max|C_ij|, and the Schur complement
-    # left after it holds -3.6e-10 max|C_ij| at row 19 (the eigenvalues are >= -1.2e-16 max|C_ij|)
-    b = np.random.default_rng(24).standard_normal((20, 17))
+    # rank 17 of 20, with row 16 of B nearly a combination of rows 0-15, so the 17th pivot
+    # is 1.9e-12 max|C_ij|, just above the zero-pivot rule; dividing by it leaves -3.2e-6
+    # max|C_ij| at row 17 (-7.2e-6 with the panel product on a transposed copy, the other
+    # gemv summation order), far past the -1e-10 rule either way, while the eigenvalues
+    # are >= -7.9e-17 max|C_ij|
+    rng = np.random.default_rng(2)
+    b = rng.standard_normal((20, 17))
+    b[16] = b[:16].T @ rng.standard_normal(16) / 4 + 1e-4 * b[16]
     cholesky_psd(b @ b.T)
 
 
@@ -218,7 +223,6 @@ def test_sample_paths_deterministic_and_zero_at_origin():
     assert np.array_equal(e1.paths, e2.paths)
     assert e1.paths.shape == (64, 3, 2)
     assert np.all(e1.paths[:, 0, :] == 0.0)  # X(0) = 0 on every path
-    assert e1.model_hash == e2.model_hash and len(e1.model_hash) == 64
     e3 = sample_paths(model, grid, 64, seed=8)
     assert not np.array_equal(e1.paths, e3.paths)
 
@@ -403,19 +407,19 @@ def test_equispaced_detection_accepts_rounded_grids(times, delta, k0):
 
 def test_random_mixing_propagates_unexpected_errors(monkeypatch):
     # only a degenerate component is redrawn; any other error must surface, not loop
-    real = vfbm.verify.sigma_from_mixing
+    real = vfbm.verify.MixingMatrices
     calls = []
 
-    def fail_once(m, i):
-        calls.append(i)
+    def fail_once(**kwargs):
+        calls.append(kwargs["hurst"])
         if len(calls) == 1:
             raise RuntimeError("injected")
-        return real(m, i)
+        return real(**kwargs)
 
-    monkeypatch.setattr("vfbm.verify.sigma_from_mixing", fail_once)
+    monkeypatch.setattr("vfbm.verify.MixingMatrices", fail_once)
     with pytest.raises(RuntimeError, match="injected"):
         random_mixing(np.random.default_rng(0), 2)
-    assert calls == [1]
+    assert len(calls) == 1
 
 
 def test_sample_paths_matches_analytic_covariance():
@@ -429,11 +433,11 @@ def test_sample_paths_matches_analytic_covariance():
 
 
 def test_empirical_cov_trivial_cases():
-    zeros = vfbm.simulate.PathEnsemble(paths=np.zeros((5, 1, 2)), seed=0, model_hash="x")
+    zeros = vfbm.simulate.PathEnsemble(paths=np.zeros((5, 1, 2)), method="cholesky")
     emp = empirical_cov(zeros)
     assert not emp.cov.any() and not emp.se.any()
 
-    two = vfbm.simulate.PathEnsemble(paths=np.array([[[1.0, 0.0]], [[3.0, 4.0]]]), seed=0, model_hash="x")
+    two = vfbm.simulate.PathEnsemble(paths=np.array([[[1.0, 0.0]], [[3.0, 4.0]]]), method="cholesky")
     emp2 = empirical_cov(two)
     # hand-computed 2-sample covariance: centered values +-1 and +-2
     assert emp2.cov[0, 0] == pytest.approx(2.0)
@@ -441,7 +445,7 @@ def test_empirical_cov_trivial_cases():
     assert emp2.cov[1, 1] == pytest.approx(8.0)
 
     with pytest.raises(ValueError):
-        empirical_cov(vfbm.simulate.PathEnsemble(paths=np.zeros((1, 1, 2)), seed=0, model_hash="x"))
+        empirical_cov(vfbm.simulate.PathEnsemble(paths=np.zeros((1, 1, 2)), method="cholesky"))
 
 
 def test_mc_config_validation():
