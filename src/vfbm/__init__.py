@@ -11,7 +11,9 @@ stationary increments and component exponents H_1..H_p in (0,1):
   Cholesky-based causal factorization;
 * independent oracles: deterministic quadrature of the kernel products and
   Monte Carlo simulation of the discretized stochastic integral;
-* exact path sampling via semidefinite Cholesky of the grid covariance.
+* exact path sampling on a grid, by circulant embedding of the increments on
+  long equispaced grids and by semidefinite Cholesky of the grid covariance
+  otherwise.
 """
 
 from . import covariance, errors, kernels, model, representation, simulate

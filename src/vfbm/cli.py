@@ -70,21 +70,172 @@ def _grid_labels(grid: TimeGrid, p: int) -> list[str]:
     return [f"{t:.17g},{c}" for t in grid.times for c in range(1, p + 1)]
 
 
+# Values the CSV kernel formats per call: long enough that numpy's loops, not
+# the interpreter, take the time, and short enough that the arrays of one call
+# stay under 1 MB.
+_CSV_CHUNK = 4096
+# Bytes of the longest %.17g text of a float64, "-2.2250738585072014e-308".
+_VALUE_WIDTH = 24
+# Veltkamp's factor 2**27 + 1 splits a double into halves of at most 26 bits,
+# whose pairwise products are exact.
+_SPLITTER = 134217729.0
+# The 18 character positions of the digits and the point.
+_DIGIT_POS = np.arange(18, dtype=np.int8)[:, None]
+# Row i of the three leading fraction zeros of 0.000ddd is set when e <= -2 - i.
+_LEADING_ZERO_AT = np.array([[-2], [-3], [-4]], dtype=np.int8)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10**k for k = 0..21, each an exact double, and its halves.
+_POW10 = np.array([float(10**k) for k in range(22)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e = floor(log10 a) as int8 and the int64 D = round-half-even(a 10**(16 - e)),
+    for finite a in [1e-4, 1e16); where log10 is off by one, D falls outside
+    [1e16, 1e17).
+
+    Dekker's two-product gives a 10**k = hi + lo exactly (10**k is an exact double
+    for k <= 21).  hi >= 2**53 is an even integer, so hi + rint(lo) rounds a tie to
+    even, as %g does; a smaller hi means D < 1e16."""
+    e = np.floor(np.log10(a)).astype(np.int8)
+    k = (16 - e).astype(np.intp)
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    hi = a * _POW10[k]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return e, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _digits(d: np.ndarray) -> np.ndarray:
+    """A (19, d.size) uint8 array: rows 1..17 the digits of each D in [1e16, 1e17),
+    rows 0 and 18 zero.
+
+    D is cut into three 6-digit parts, each below 2**32, and repeated uint32
+    division by 10 gives their digits; the first part is below 10**5, so row 0 is 0."""
+    mid = d // 10**6
+    top = mid // 10**6
+    parts = np.empty((3, d.size), np.uint32)
+    parts[0] = top
+    parts[1] = mid - top * 10**6
+    parts[2] = d - mid * 10**6
+    grid = np.empty((19, d.size), np.uint8)
+    grid[18] = 0
+    by_part = grid[:18].reshape(3, 6, d.size)
+    ten = np.uint32(10)
+    for i in range(5, -1, -1):
+        q = parts // ten
+        parts -= q * ten
+        by_part[:, i] = parts
+        parts = q
+    return grid
+
+
+def _value_text(x: np.ndarray) -> np.ndarray:
+    """The bytes of f"{v:.17g}" for each value v of x, as a (24, x.size) uint8 array:
+    column j holds the text of x[j] in order, with 0 for each byte it does not use.
+
+    A value with 1e-4 <= |v| < 1e16 prints in fixed notation, built here from its
+    17 significant digits (_significand) and e = floor(log10|v|): an optional "-",
+    then "0." and -e - 1 zeros when e < 0, then the digits, the first max(n, e + 1)
+    of them for n significant ones, with "." after digit e when e >= 0 and a digit
+    follows.  Every other value takes the %.17g text of Python, one at a time: 0,
+    non-finite, subnormal, |v| < 1e-4 or >= 1e16, and a D that log10 put out of range.
+    """
+    u8 = np.uint8
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e16)  # False for nan
+    e, d = _significand(np.where(fixed, a, 1.0))  # 1.0 keeps log10 and the casts finite
+    fixed &= (d >= 10**16) & (d < 10**17)
+    grid = _digits(d)
+    digits, shifted = grid[1:], grid[:-1]  # positions 0..17, and the same one position on
+    n = np.max((digits[:17] != 0) * np.arange(1, 18, dtype=u8)[:, None], axis=0).view(np.int8)
+    digits[:17] += u8(ord("0"))
+    digits *= (_DIGIT_POS < np.maximum(n, e + np.int8(1))).view(u8)
+    # the point's position, e + 1, or 18 (none)
+    point = np.int8(18) - ((n > e + np.int8(1)) & (e >= 0)).view(np.int8) * (np.int8(17) - e)
+    text = np.empty((_VALUE_WIDTH, x.size), u8)
+    text[0] = (x < 0).view(u8) * u8(ord("-"))
+    below_one = (e < 0).view(u8)
+    text[1] = below_one * u8(ord("0"))
+    text[2] = below_one * u8(ord("."))
+    text[3:6] = (e <= _LEADING_ZERO_AT).view(u8) * u8(ord("0"))
+    body = text[6:]
+    np.multiply(digits, (_DIGIT_POS < point).view(u8), out=body)
+    body += shifted * (_DIGIT_POS > point).view(u8)
+    body += (_DIGIT_POS == point).view(u8) * u8(ord("."))
+    other = np.flatnonzero(~fixed)
+    if other.size:
+        table = _text_table([f"{v:.17g}" for v in x[other].tolist()])
+        text[:, other] = 0
+        text[: table.shape[1], other] = table.T
+    return text
+
+
+def _text_table(texts: list[str]) -> np.ndarray:
+    """The UTF-8 bytes of each text as a row of a uint8 array, padded with 0 to the longest."""
+    return np.array([t.encode("utf-8") for t in texts]).view(np.uint8).reshape(len(texts), -1)
+
+
+def _csv_runs(rows, m: int):
+    """Cut the values of rows, (key, block) pairs of m values each, into runs of
+    _CSV_CHUNK values, the last one shorter.  Yield, per run, the `key,` text of
+    each of its values as the rows of a table, the label index of its first value
+    and the values."""
+    rows = iter(rows)
+    held, done, more = [], 0, True  # blocks not yet written in full; values of held[0] written
+    while more:
+        for key, block in rows:
+            held.append((f"{key},", block))
+            if len(held) * m - done >= _CSV_CHUNK:
+                break
+        else:
+            more = False
+        if not held:
+            return
+        keys = _text_table([key for key, _ in held])
+        values = np.concatenate([block for _, block in held])
+        end = done + (values.size - done) // _CSV_CHUNK * _CSV_CHUNK if more else values.size
+        for start in range(done, end, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, end)
+            blocks = np.arange(start // m, (stop - 1) // m + 1)
+            counts = np.minimum((blocks + 1) * m, stop) - np.maximum(blocks * m, start)
+            yield np.repeat(keys[blocks[0] : blocks[-1] + 1], counts, axis=0), start % m, values[start:stop]
+        held, done = held[end // m :], end % m
+
+
 def _write_csv(path: str | Path, header: str, labels: list[str], rows) -> None:
     """Write the header, then a `key,label,value` line per value of each (key, block) of
-    rows, one write per block; values have 17 significant digits, so they read back exactly.
+    rows, labels[i] going with block[i]; values have 17 significant digits, so they read
+    back exactly.  The bytes are those of f"{key},{label},{x:.17g}\n" line by line.
 
-    Each block is written through one %-format template, the `key,` prefix joined with
-    the `label,%.17g` line tails built once per table; the bytes are those of
-    f"{key},{label},{x:.17g}" line by line.  Keys and labels are number text, free of `%`."""
-    tails = [f"{label},%.17g\n" for label in labels]
+    Lines are built _CSV_CHUNK at a time in a uint8 array, one row per line: the
+    key and label text, each padded with 0 bytes to the longest, then the value
+    text of _value_text, a numpy kernel for values in fixed notation with a
+    fallback to Python's own formatting for every other value, and "\n".
+    Deleting every 0 byte leaves the lines, which go to the file in one write."""
+    tails = _text_table([f"{label}," for label in labels])
 
     def write(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for key, block in rows:
-                prefix = f"{key},"
-                fh.write((prefix + prefix.join(tails)) % tuple(block.tolist()))
+        with open(tmp, "wb") as fh:
+            fh.write(f"{header}\n".encode("utf-8"))
+            for keys, first, values in _csv_runs(rows, len(labels)):
+                key_end = keys.shape[1]
+                value_at = key_end + tails.shape[1]
+                # a bytearray under the array, so that translate reads it without a copy
+                buf = bytearray(values.size * (value_at + _VALUE_WIDTH + 1))
+                lines = np.frombuffer(buf, np.uint8).reshape(values.size, -1)
+                lines[:, :key_end] = keys
+                lines[:, key_end:value_at] = tails.take(np.arange(first, first + values.size), axis=0, mode="wrap")
+                lines[:, value_at:-1] = _value_text(values).T
+                lines[:, -1] = ord("\n")
+                fh.write(buf.translate(None, b"\0"))
 
     _atomic_write(path, write)
 

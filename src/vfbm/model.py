@@ -188,7 +188,8 @@ class MixingMatrices:
     """Real p x p weights (A_plus, A_minus) of the two-sided integral representation.
 
     The constructor stores read-only copies of both matrices (ValueError for
-    a wrong shape or a non-finite entry), their Gram products ``app`` =
+    a wrong shape, a non-finite entry, or entries so large that a Gram product
+    or a variance overflows), their Gram products ``app`` =
     A+ A+^T, ``amm`` = A- A-^T and ``apm`` = A+ A-^T, through which alone
     they enter the second-order law (A- A+^T is ``apm.T``), and the scales
     ``sigma``, sigma_i = std X_i(1), from
@@ -213,14 +214,27 @@ class MixingMatrices:
         am = np.array(self.a_minus, dtype=float)
         if ap.shape != (p, p) or am.shape != (p, p):
             raise ValueError(f"mixing matrices must be {p}x{p}, got {ap.shape} and {am.shape}")
-        if not (np.all(np.isfinite(ap)) and np.all(np.isfinite(am))):
-            raise ValueError("mixing matrices must be finite")
-        app, amm, apm = ap @ ap.T, am @ am.T, ap @ am.T
+        # a non-finite entry of a row makes the diagonal of its Gram product
+        # non-finite, and entries near 1e154 and beyond overflow the products
+        gram = np.empty((3, p, p))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(ap, ap.T, out=gram[0])
+            np.matmul(am, am.T, out=gram[1])
+            np.matmul(ap, am.T, out=gram[2])
+        if not np.isfinite(gram).all():
+            raise ValueError(
+                "mixing matrices must be finite, and their Gram products A+ A+^T, A- A-^T, A+ A-^T must not overflow"
+            )
+        app, amm, apm = gram
         sigma = np.empty(p)
-        for k in range(p):
+        diagonals = zip(app.diagonal().tolist(), amm.diagonal().tolist(), apm.diagonal().tolist())
+        for k, (pp, mm, pm) in enumerate(diagonals):
             h = self.hurst[k]
             sin_h = math.sin(math.pi * h)
-            var = beta(h + 0.5, h + 0.5) / sin_h * (app[k, k] + amm[k, k] - 2.0 * sin_h * apm[k, k])
+            # in Python floats an overflow gives inf, with no warning
+            var = beta(h + 0.5, h + 0.5) / sin_h * (pp + mm - 2.0 * sin_h * pm)
+            if not math.isfinite(var):
+                raise ValueError(f"mixing matrices too large: the variance of component {k + 1} overflows")
             if var <= _DEGENERATE_TOL:
                 raise DegenerateComponentError(k + 1, var)
             sigma[k] = math.sqrt(var)
@@ -399,9 +413,13 @@ def _unique_keys(pairs: list) -> dict:
 def read_json(path: str | Path):
     """The content of a JSON file; ValueError naming a key repeated within
     one object, which plain ``json.load`` would resolve silently to its last
-    value."""
+    value, and ValueError for arrays or objects nested too deeply for the
+    decoder's recursion."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON arrays or objects are nested too deeply to read") from None
 
 
 def model_to_dict(m: CovarianceModel) -> dict:

@@ -7,10 +7,13 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vfbm
 import vfbm.cli
@@ -144,6 +147,93 @@ def test_write_csv_lines_equal_the_line_by_line_format(tmp_path):
     assert expected[1:3] == ["0,0,1,-0", "0,0.5,2,4.9406564584124654e-324"]
 
 
+def _kernel_text(values) -> list[str]:
+    """The text the CSV kernel gives each value, its 0 padding bytes removed."""
+    text = vfbm.cli._value_text(np.array(values, dtype=float))
+    assert text.shape == (vfbm.cli._VALUE_WIDTH, len(values))
+    return [column.tobytes().replace(b"\0", b"").decode("ascii") for column in text.T]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
+def test_csv_kernel_text_is_the_17g_format(values):
+    assert _kernel_text(values) == [f"{x:.17g}" for x in values]
+
+
+def _ulps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+def _tie_values() -> list[float]:
+    """Odd multiples of 2**-m whose exact decimal expansion has 18 significant
+    digits, the last a 5, so that %.17g rounds a tie: x in [10**(d-1), 10**d)
+    has d integer digits and m = 18 - d fraction digits (d = 0 below 1)."""
+    rng = np.random.default_rng(7)
+    values = []
+    for d in range(17):
+        m = 18 - d
+        lo, hi = (10**d * 2**m + 9) // 10, min(10**d * 2**m, 2**53)
+        values += [(2 * j + 1) / 2**m for j in rng.integers(lo // 2, hi // 2, size=6).tolist()]
+    return values
+
+
+def test_csv_kernel_text_on_adversarial_values():
+    # 10**k and its neighbours, among them the edges 1e-4 and 1e16 of fixed notation
+    powers = [_ulps(10.0**k, s) for k in range(-5, 17) for s in range(-2, 3)]
+    integers = [float(v) for v in (1, 7, 10, 123000, 2**31, 10**15 + 1, 2**53 - 1, 2**53, 9999999999999998)]
+    fractions = [0.1, 0.5, 1 / 3, 2 / 3]
+    ties = _tie_values()
+    assert all(Decimal(x).as_tuple().digits[-1] == 5 and len(Decimal(x).as_tuple().digits) == 18 for x in ties)
+    values = powers + integers + fractions + ties
+    values += [-x for x in values]
+    assert _kernel_text(values) == [f"{x:.17g}" for x in values]
+
+
+@pytest.mark.parametrize(
+    "chunk, m, blocks",
+    [
+        (8, 4, 4),  # blocks end on every chunk edge
+        (8, 3, 3),  # 9 values: the last block straddles the edge by one value
+        (8, 9, 2),  # a block longer than a chunk, straddling it by one value
+        (8, 1, 17),  # one value per block
+        # the same at the module's own chunk size
+        (vfbm.cli._CSV_CHUNK, vfbm.cli._CSV_CHUNK // 2, 4),
+        (vfbm.cli._CSV_CHUNK, vfbm.cli._CSV_CHUNK + 1, 2),
+        (vfbm.cli._CSV_CHUNK, vfbm.cli._CSV_CHUNK - 1, 3),
+    ],
+)
+def test_write_csv_lines_equal_the_line_by_line_format_across_chunks(tmp_path, monkeypatch, chunk, m, blocks):
+    monkeypatch.setattr(vfbm.cli, "_CSV_CHUNK", chunk)
+    rng = np.random.default_rng(m)
+    labels = [f"{t:.17g},1" for t in rng.standard_normal(m)]
+    special = np.array([0.0, -0.0, math.nan, math.inf, 5e-324, 1e-5, 3e16])
+    rows = []
+    for b in range(blocks):
+        block = rng.standard_normal(m) * 10.0 ** rng.integers(-6, 18, m)
+        block[rng.integers(0, m, 2)] = rng.choice(special, 2)
+        rows.append((b if b % 2 else f"{b / 7:.17g},{b}", block))  # int keys and keys with commas
+    out = tmp_path / "t.csv"
+    vfbm.cli._write_csv(out, "key,time,component,value", labels, iter(rows))
+    expected = ["key,time,component,value"]
+    expected += [f"{key},{label},{x:.17g}" for key, block in rows for label, x in zip(labels, block.tolist())]
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")
+
+
+def test_cov_csv_lines_equal_the_line_by_line_format(tmp_path, mixing_file):
+    times = (0.0, 1e-5, 0.25, 1.0, 3.5)
+    out = tmp_path / "cov.csv"
+    argv = ["cov", "--model", str(mixing_file), "--grid", ",".join(map(repr, times)), "--out", str(out)]
+    assert vfbm.cli.main(argv) == 0
+    entries = vfbm.cov_matrix(vfbm.load_model(mixing_file), vfbm.TimeGrid(times)).entries
+    labels = [f"{t:.17g},{c}" for t in times for c in (1, 2)]  # keys of the cov CSV carry a comma too
+    expected = ["t_k,i,t_l,j,value"]
+    expected += [f"{key},{label},{x:.17g}" for key, row in zip(labels, entries) for label, x in zip(labels, row.tolist())]
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")
+    assert "1.0000000000000001e-05,2,0,1,0" in expected  # a fallback value on a row with an exponent key
+
+
 def test_simulate_zero_rows_mid_grid_beyond_one_block(tmp_path, mixing_file):
     # t = 0 at grid index 70 of 141 (rows 140, 141 of a dimension-282 covariance),
     # so the zero pivots fall in the second diagonal block of the factorization
@@ -275,6 +365,10 @@ _DUPLICATE_TOP_LEVEL_KEY = '{"hurst": [0.3, 0.6], "a_plus": [[1.0, 0.5], [0.5, 0
 _DUPLICATE_C_TILDE_KEY = f'{{"hurst": [0.3, 0.6], "c_tilde": [[1.0, 0.0], [0.0, 1.0]], "c_tilde": {json.dumps(_CT)}}}'
 
 
+# 1000 nested arrays exceed the JSON decoder's recursion limit
+_DEEP_HURST = '{"hurst": ' + "[" * 1000 + "]" * 1000 + "}"
+
+
 @pytest.mark.parametrize(
     "argv,content,error,match",
     [
@@ -319,6 +413,11 @@ _DUPLICATE_C_TILDE_KEY = f'{{"hurst": [0.3, 0.6], "c_tilde": [[1.0, 0.0], [0.0, 
         _case(_coeff_model(hurst=(0.3, 0.7)), "cov-grid-overflow", argv=_COV_OVERFLOW, match="grid"),
         _case(_mixing_model(), "simulate-out-of-memory", error="MemoryError", argv=_SIMULATE_HUGE),
         _case(_coeff_model(), "cov-grid-empty-field", argv=_COV_EMPTY_FIELD, match="float"),
+        _case(_DEEP_HURST, "nested-1000-deep", match="nested too deeply"),
+        _case(_mixing_model(a_plus=((1e200, 0.0), (0.0, 1.0))), "mixing-gram-overflow", argv=_COEFFS, match="must not overflow"),
+        # B(H+1/2, H+1/2) / sin(pi H) is about 1e300 at H = 1e-300
+        _case({**_mixing_model(a_plus=((1e9, 0.0), (0.0, 1.0))), "hurst": [1e-300, 0.6]}, "mixing-variance-overflow",
+              argv=_COEFFS, match="variance of component 1 overflows"),
         _case({"hurst": "junk", "c_tilde": _CT}, "c-tilde-junk-hurst-with-flag", argv=_FACTORIZE_FLAG, match="hurst"),
         _case({"hurst": [0.3, 0.7], "c_tilde": _CT}, "c-tilde-hurst-disagrees-with-flag", argv=_FACTORIZE_FLAG,
               match="differs from the file's hurst [0.3, 0.7]"),
@@ -341,6 +440,22 @@ def test_usage_error_exit_code(tmp_path, argv, content, error, match):
     err = json.loads(res.stderr)
     assert err["error"] == error
     assert match in err["message"], err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [(("validate", "--model"), _DEEP_HURST),
+     (("coeffs", "--mixing"), json.dumps(_mixing_model(a_plus=((1e200, 0.0), (0.0, 1.0)))))],
+    ids=["nested-1000-deep", "mixing-gram-overflow"],
+)
+def test_hostile_model_file_is_one_json_line_in_process(tmp_path, capsys, argv, content):
+    # in process, where a RecursionError or a RuntimeWarning (an error under the
+    # test suite's filterwarnings) would escape main instead of its JSON line
+    path = tmp_path / "in.json"
+    path.write_text(content)
+    assert vfbm.cli.main([*argv, str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "ValueError"
 
 
 def test_help_still_prints_and_exits_0(tmp_path):
