@@ -44,11 +44,18 @@ _C_TILDE_FILE_KEYS = frozenset({"c_tilde", "hurst"})
 
 
 def _atomic_write(path: str | Path, write) -> None:
-    """Run write(tmp) on a temporary file beside path, then rename it to path."""
+    """Run write(tmp) on a temporary file beside path, then rename it to path.
+
+    The file gets the mode open() gives a new file, 0o666 less the umask;
+    mkstemp creates it 0o600, and the rename keeps that mode.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     os.close(fd)
     try:
+        umask = os.umask(0o022)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         write(tmp)
         os.replace(tmp, path)
     except BaseException:

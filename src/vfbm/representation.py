@@ -68,36 +68,44 @@ def coeffs_from_mixing(m: MixingMatrices) -> CovarianceModel:
     f[i, j] = f_ij = -f[j, i].
     """
     p = m.p
-    h = m.hurst
-    app, amm, apm, sigma = m.app, m.amm, m.apm, m.sigma
     c = np.eye(p)
     f = np.zeros((p, p))
     for i in range(p):
-        hi = h[i]
-        ci = math.cos(math.pi * hi)
         for j in range(i + 1, p):
-            hj = h[j]
-            cj = math.cos(math.pi * hj)
-            ss = sigma[i] * sigma[j]
-            if h.critical[i, j]:
-                b = beta(hi + 0.5, hj + 0.5)
-                c[i, j] = c[j, i] = (
-                    b
-                    * (
-                        0.5 * (math.sin(math.pi * hi) + math.sin(math.pi * hj)) * (app[i, j] + amm[i, j])
-                        - apm[i, j]
-                        - apm[j, i]
-                    )
-                    / ss
-                )
-                f[i, j] = (hj - hi) * (app[i, j] - amm[i, j]) / ss
-                f[j, i] = -f[i, j]
-            else:
-                psi = phi(hi, hj)
-                sin_sum = math.sin(math.pi * (hi + hj))
-                c[i, j] = 2.0 * psi * (app[i, j] * ci + amm[i, j] * cj - apm[i, j] * sin_sum) / ss
-                c[j, i] = 2.0 * psi * (app[j, i] * cj + amm[j, i] * ci - apm[j, i] * sin_sum) / ss
-    return CovarianceModel(hurst=h, sigma=sigma, c=c, f=f)
+            c[i, j], c[j, i], f_ij = _pair_coeffs(m, i, j)
+            if m.hurst.critical[i, j]:  # general pairs keep f = +0.0
+                f[i, j], f[j, i] = f_ij, -f_ij
+    return CovarianceModel(hurst=m.hurst, sigma=m.sigma, c=c, f=f)
+
+
+def _pair_coeffs(m: MixingMatrices, i: int, j: int) -> tuple[float, float, float]:
+    """(c_ij, c_ji, f_ij) of the pair i < j (0-based): (d_ij, d_ij, f_ij) for a
+    critical pair, (c_ij, c_ji, 0.0) for a general one."""
+    h = m.hurst
+    hi, hj = h[i], h[j]
+    app, amm, apm = m.app, m.amm, m.apm
+    ss = m.sigma[i] * m.sigma[j]
+    if h.critical[i, j]:
+        b = beta(hi + 0.5, hj + 0.5)
+        d = (
+            b
+            * (
+                0.5 * (math.sin(math.pi * hi) + math.sin(math.pi * hj)) * (app[i, j] + amm[i, j])
+                - apm[i, j]
+                - apm[j, i]
+            )
+            / ss
+        )
+        return d, d, (hj - hi) * (app[i, j] - amm[i, j]) / ss
+    ci = math.cos(math.pi * hi)
+    cj = math.cos(math.pi * hj)
+    psi = phi(hi, hj)
+    sin_sum = math.sin(math.pi * (hi + hj))
+    return (
+        2.0 * psi * (app[i, j] * ci + amm[i, j] * cj - apm[i, j] * sin_sum) / ss,
+        2.0 * psi * (app[j, i] * cj + amm[j, i] * ci - apm[j, i] * sin_sum) / ss,
+        0.0,
+    )
 
 
 def tilde_c(m: MixingMatrices) -> np.ndarray:

@@ -5,25 +5,29 @@ suitable for JSON emission; the CLI ``verify`` subcommand is a thin wrapper.
 These suites are the one definition of each check: the acceptance tests
 run them at their own seeds and sizes.
 
-The closed forms are evaluated in batches: all the (s, t) points of one
-``theorem1`` draw go through one array ``cov_pair`` call, and the
-``n_times`` points of one ``prop31`` pair through one ``cov_pair`` and one
-``assemble_via_kernels`` call.  An array ``**`` may round differently from
-the scalar one (a vector ``pow`` can differ by 1 ulp), so a statistic may
-differ from a point-by-point evaluation at rounding level.  Every worst
-value is folded with ``_fold``, which keeps a NaN, so a NaN statistic fails
-its check.
+The closed forms are evaluated in batches.  ``theorem1`` makes all its
+draws first, in the order of the RNG stream, recording each queried pair's
+regime (same component, critical, general) and coefficients; then each
+regime's formula runs once over the (s, t) points of all its draws, with
+the coefficients as columns, and the statistics are folded in draw order.
+The ``n_times`` points of one ``prop31`` pair go through one ``cov_pair``
+and one ``assemble_via_kernels`` call.  An array ``**`` may round
+differently from the scalar one (a vector ``pow`` can differ by 1 ulp), so
+a statistic may differ from a point-by-point evaluation at rounding level.
+Every worst value is folded with ``_fold``, which keeps a NaN, so a NaN
+statistic fails its check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .covariance import cov_matrix, cov_pair
+from .covariance import _cov_critical, _cov_general, _raise_not_finite, cov_matrix, cov_pair, cov_same
 from .errors import DegenerateComponentError, InfeasibleFactorizationError
 from .kernels import KernelKind, kernel_cov, quadrature_kernel_oracle
 from .model import HurstVector, MixingMatrices, TimeGrid, validate_hurst
 from .representation import (
+    _pair_coeffs,
     assemble_via_kernels,
     causal_factorize,
     coeffs_from_mixing,
@@ -95,26 +99,21 @@ def _record(check: str, statistic: float, tolerance: float) -> dict:
 def suite_theorem1(seed: int, n_draws: int = 400) -> list[dict]:
     """Self-similarity, stationary increments, symmetrization, zero boundary."""
     rng = np.random.default_rng(seed)
-    worst = {"scaling": 0.0, "stationary_increments": 0.0, "symmetrization": 0.0, "zero_boundary": 0.0}
+    draws = []  # (i, j, s, t, T, lambda, H_i + H_j, sigma_i sigma_j r_ij) of each draw
+    pairs = []  # (formula, coefficients) of each draw's pair, as _theorem1_pair gives them
     for k in range(n_draws):
         p = int(rng.integers(2, 4))
         m = random_mixing(rng, p, critical_pair=(k % 3 == 0), a_minus_scale=float(rng.uniform(0, 1.5)))
-        model = coeffs_from_mixing(m)
         i, j = (int(v) for v in rng.integers(1, p + 1, size=2))
         s, t, big_t = (float(v) for v in rng.uniform(-3, 3, size=3))
         lam = float(rng.uniform(0.2, 5.0))
-        h_sum = model.hurst[i - 1] + model.hurst[j - 1]
+        formula, coeffs, r = _theorem1_pair(m, min(i, j) - 1, max(i, j) - 1)
+        kappa2 = float(m.sigma[i - 1]) * float(m.sigma[j - 1]) * r
+        draws.append((i, j, s, t, big_t, lam, m.hurst[i - 1] + m.hurst[j - 1], kappa2))
+        pairs.append((formula, coeffs))
 
-        # one array call: base, scaled, the four increment points, the two
-        # zero-boundary points and the reversed orientation, since
-        # cov_pair(j, i, s, t) is cov_pair(i, j, t, s) bit for bit
-        v = cov_pair(
-            model,
-            i,
-            j,
-            np.array([s, lam * s, s + big_t, s + big_t, big_t, big_t, 0.0, s, t]),
-            np.array([t, lam * t, t + big_t, big_t, t + big_t, big_t, t, 0.0, s]),
-        ).tolist()
+    worst = {"scaling": 0.0, "stationary_increments": 0.0, "symmetrization": 0.0, "zero_boundary": 0.0}
+    for (i, j, s, t, big_t, lam, h_sum, kappa2), v in zip(draws, _theorem1_values(draws, pairs).tolist()):
         base, scaled = v[0], v[1]
         scale_ref = max(1.0, abs(scaled), abs(base) * lam**h_sum)
         worst["scaling"] = _fold(worst["scaling"], abs(scaled - lam**h_sum * base) / scale_ref)
@@ -124,7 +123,6 @@ def suite_theorem1(seed: int, n_draws: int = 400) -> list[dict]:
             worst["stationary_increments"], abs(inc - base) / max(1.0, abs(base))
         )
 
-        kappa2 = model.sigma[i - 1] * model.sigma[j - 1] * model.r[i - 1, j - 1]
         sym_ref = 0.5 * kappa2 * (abs(s) ** h_sum + abs(t) ** h_sum - abs(s - t) ** h_sum)
         lhs = base + v[8]
         worst["symmetrization"] = _fold(worst["symmetrization"], abs(lhs - 2.0 * sym_ref) / max(1.0, abs(lhs)))
@@ -135,6 +133,48 @@ def suite_theorem1(seed: int, n_draws: int = 400) -> list[dict]:
         _record(f"theorem1/{name}", stat, 0.0 if name == "zero_boundary" else 1e-10)
         for name, stat in worst.items()
     ]
+
+
+def _theorem1_pair(m: MixingMatrices, a: int, b: int) -> tuple:
+    """The formula of components a <= b (0-based), as cov_pair picks it; its
+    arguments before (s, t), as cov_pair passes them; and R's entry r_ab =
+    (c_ab + c_ba)/2."""
+    sigma = m.sigma
+    if a == b:
+        return cov_same, (m.hurst[a], float(sigma[a])), 1.0
+    c_ab, c_ba, f_ab = _pair_coeffs(m, a, b)
+    r = (c_ab + c_ba) / 2.0
+    if m.hurst.critical[a, b]:
+        return _cov_critical, (float(sigma[a]), float(sigma[b]), c_ab, f_ab), r
+    return _cov_general, (m.hurst[a], m.hurst[b], float(sigma[a]), float(sigma[b]), c_ab, c_ba), r
+
+
+def _theorem1_values(draws: list[tuple], pairs: list[tuple]) -> np.ndarray:
+    """cov_pair(i, j, .) at the nine points of every draw: base, scaled, the four
+    increment points, the two zero-boundary points and the reversed orientation.
+
+    A draw with i > j is evaluated as (j, i) at swapped times, since cov_pair(i,
+    j, s, t) is cov_pair(j, i, t, s) bit for bit.  Each regime's formula runs
+    once, over the (D, 9) times of its D draws with (D, 1) coefficient columns.
+    A value that is not finite raises cov_pair's ValueError for the first such
+    draw.
+    """
+    s_pts = np.array([[s, lam * s, s + tt, s + tt, tt, tt, 0.0, s, t] for _, _, s, t, tt, lam, *_ in draws])
+    t_pts = np.array([[t, lam * t, t + tt, tt, t + tt, tt, t, 0.0, s] for _, _, s, t, tt, lam, *_ in draws])
+    swapped = np.array([[i > j] for i, j, *_ in draws])
+    s_up, t_up = np.where(swapped, t_pts, s_pts), np.where(swapped, s_pts, t_pts)
+    values = np.empty_like(s_pts)
+    for formula in (cov_same, _cov_critical, _cov_general):
+        rows = [k for k, (f, _) in enumerate(pairs) if f is formula]
+        if rows:
+            coeffs = np.array([pairs[k][1] for k in rows]).T[:, :, None]
+            values[rows] = formula(*coeffs, s_up[rows], t_up[rows])
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        i, j = draws[k][:2]
+        _raise_not_finite(min(i, j), max(i, j), s_up[k], t_up[k], values[k])
+    return values
 
 
 def suite_prop31(seed: int, n_models: int = 12, n_times: int = 6) -> list[dict]:

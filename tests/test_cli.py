@@ -1,12 +1,16 @@
 """End-to-end CLI behaviour: exit codes, artifacts, idempotence."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal
 from pathlib import Path
 
@@ -472,3 +476,109 @@ def test_verify_subcommand(tmp_path):
     report = json.loads(out.read_text())
     assert report["passed"] is True
     assert all({"check", "statistic", "tolerance", "pass"} <= set(r) for r in report["results"])
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_output_files_get_the_mode_open_would_give(tmp_path, umask, mode):
+    # mkstemp creates its file 0600, and os.replace keeps the mode it finds
+    out = tmp_path / "v.json"
+    old = os.umask(umask)
+    try:
+        assert vfbm.cli.main(["verify", "--suite", "tildec", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+# The CLI fuzz: each subcommand's argv built from hostile options, with an
+# in.json that is a valid model file with one leaf replaced, nested too deeply,
+# or not a model at all.  Counts, grids and seeds stay small or fail before any
+# allocation, so no example takes more than a few milliseconds.
+_FUZZ_MODELS = [
+    _coeff_model(pairs=[_C12]),
+    _coeff_model(hurst=(0.3, 0.7), pairs=[{"i": 1, "j": 2, "d_ij": 0.1, "f_ij": 0.2}]),
+    _mixing_model(),
+    {"hurst": [0.3, 0.6], "c_tilde": _CT},
+]
+_FUZZ_LEAVES = [_NAN, _INF, -_INF, 10**400, -(10**30), 2**64, True, False, None, "0.3", [], {}, [[[0.3]]],
+                1e308, -1e308, 5e-324, 0.0, -0.0, 0.5, 1.0, -1]
+_FUZZ_RAW = [b"", b"NaN", b"[", b"{}", b"null", b"\xff\xfe", b'{"hurst": [0.3, 0.6], "hurst": [0.3, 0.6]}']
+_FUZZ_GRID_POINTS = ["0.5", "1", "2", "0", "-1", "1e-320", "1e308", "nan", "inf", "-inf", "", "x"]
+_FUZZ_COUNTS = ["-1", "0", "1", "3", str(10**15), str(2**63), "1.5", "x"]  # 10**15 paths cannot be allocated
+_FUZZ_SEEDS = ["-1", "0", "7", str(2**64 - 1), str(2**64), str(10**30), "1e3", "x"]
+_FUZZ_SUITES = ["tildec", "factorization", "quadrature", "mc", "nope", ""]
+_FUZZ_HURST = ["0.3,0.6", "0.3", "0.5,0.5", "nan,0.6", "1e400,0.5", "0.3,0.6,0.9", ""]
+
+
+def _leaf_paths(doc, path=()):
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaf_paths(value, (*path, key))
+    else:
+        yield path
+
+
+def _with_leaf(doc, path, value):
+    if not path:
+        return value
+    doc = dict(doc) if isinstance(doc, dict) else list(doc)
+    doc[path[0]] = _with_leaf(doc[path[0]], path[1:], value)
+    return doc
+
+
+@st.composite
+def _fuzz_model_file(draw):
+    kind = draw(st.sampled_from(["valid", "hostile-leaf", "raw", "deep"]))
+    if kind == "raw":
+        return draw(st.sampled_from(_FUZZ_RAW))
+    if kind == "deep":  # beyond the decoder's recursion limit, or numpy's 64 dimensions
+        depth = draw(st.sampled_from([1000, 100_000, 64]))
+        return b'{"hurst": ' + b"[" * depth + b"]" * depth + b"}"
+    doc = draw(st.sampled_from(_FUZZ_MODELS))
+    if kind == "hostile-leaf":
+        doc = _with_leaf(doc, draw(st.sampled_from(list(_leaf_paths(doc)))), draw(st.sampled_from(_FUZZ_LEAVES)))
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def _fuzz_argv(draw):
+    grid = draw(st.sampled_from(["0.5,1", "0,0.5,1", "1,1.5,2,2.5"]) | st.lists(
+        st.sampled_from(_FUZZ_GRID_POINTS), max_size=4).map(",".join))
+    seed = ["--seed", draw(st.sampled_from(_FUZZ_SEEDS))] if draw(st.booleans()) else []
+    out = ["--out", draw(st.sampled_from(["out", "missing/out"]))]
+    optional_out = out if draw(st.booleans()) else []
+    hurst = ["--hurst", draw(st.sampled_from(_FUZZ_HURST))] if draw(st.booleans()) else []
+    count = draw(st.just("2") | st.sampled_from(_FUZZ_COUNTS))
+    return draw(st.sampled_from([
+        ["validate", "--model", "in.json", *optional_out],
+        ["coeffs", "--mixing", "in.json", *optional_out],
+        ["cov", "--model", "in.json", "--grid", grid, *out],
+        ["factorize", "--c-tilde", "in.json", *hurst, *optional_out],
+        ["simulate", "--model", "in.json", "--grid", grid, "--n", count, *seed, *out],
+        ["verify", "--suite", draw(st.sampled_from(_FUZZ_SUITES)), *seed, *optional_out],
+    ]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_fuzz_argv(), _fuzz_model_file())
+def test_cli_boundary_fuzz(argv, content):
+    # main returns 0, 1 or 2 and raises nothing, warnings included (they are
+    # errors under the test configuration); an error is one JSON line on
+    # stderr and leaves no output file, nor a temporary one
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in.json").write_bytes(content)
+        args = [str(tmp / a) if a in ("in.json", "out", "missing/out") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = vfbm.cli.main(args)
+        written = sorted(p.name for p in tmp.iterdir() if p.name != "in.json")
+    assert status in (0, 1, 2)
+    if err.getvalue():
+        (line,) = err.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error", "message"}
+        assert status != 0 and written == [], (line, written)
+    else:
+        # validate and verify exit 1 with a report whose checks failed
+        assert status == 0 or argv[0] in ("validate", "verify")
+        assert written == (["out"] if "out" in argv else [])

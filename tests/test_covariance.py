@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vfbm
 import vfbm.cli
@@ -16,9 +18,10 @@ from vfbm import (
     sign_coeff,
     validate_hurst,
 )
-from vfbm.covariance import cov_same
+from vfbm.covariance import _cov_critical, _cov_general, cov_same
 from vfbm.errors import IndexOutOfRangeError
 from vfbm.model import model_to_dict
+from vfbm.representation import _pair_coeffs
 from vfbm.verify import random_mixing
 
 # frozen 40-digit reference: 2*(1.5^1.4 + 0.5^1.4 - 2^1.4)/... for sigma=2
@@ -257,3 +260,63 @@ def test_cov_csv_roundtrip(tmp_path, capsys):
         l = grid.times.index(float(row["t_l"]))
         i, j = int(row["i"]), int(row["j"])
         assert float(row["value"]) == cov.entries[k * 2 + i - 1, l * 2 + j - 1]  # 17 digits round-trips
+
+
+# Times with exact zeros, where the formulas' sign switches and x log|x| are
+# decided, and values far enough apart for both signs of t - s.
+_TIMES = st.sampled_from([0.0, -0.0]) | st.floats(-20.0, 20.0, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([2, 3]),
+    critical_pair=st.booleans(),
+    times=st.lists(st.tuples(_TIMES, _TIMES), min_size=1, max_size=5),
+)
+def test_regime_formulas_on_columns_equal_cov_pair_bit_for_bit(seed, p, critical_pair, times):
+    # every ordered pair (i, j), i > j and i = j included, is one row of its
+    # regime's array call; cov_pair evaluates i > j as (j, i) at swapped times
+    model = vfbm.coeffs_from_mixing(random_mixing(np.random.default_rng(seed), p, critical_pair=critical_pair))
+    h, sigma, c, f = model.hurst, model.sigma.tolist(), model.c.tolist(), model.f.tolist()
+    s, t = (np.array(v) for v in zip(*times))
+    rows = {cov_same: [], _cov_critical: [], _cov_general: []}
+    for i in range(p):
+        for j in range(p):
+            a, b = min(i, j), max(i, j)
+            up = (t, s) if i > j else (s, t)
+            if a == b:
+                rows[cov_same].append(((i, j), (h[a], sigma[a]), up))
+            elif model.critical[a, b]:
+                rows[_cov_critical].append(((i, j), (sigma[a], sigma[b], c[a][b], f[a][b]), up))
+            else:
+                rows[_cov_general].append(((i, j), (h[a], h[b], sigma[a], sigma[b], c[a][b], c[b][a]), up))
+    assert bool(rows[_cov_critical]) == critical_pair
+    for formula, batch in rows.items():
+        if not batch:
+            continue
+        columns = np.array([coeffs for _, coeffs, _ in batch]).T[:, :, None]
+        ss, tt = (np.array(v) for v in zip(*(up for _, _, up in batch)))
+        values = formula(*columns, ss, tt)
+        for ((i, j), _, _), row in zip(batch, values):
+            assert np.array_equal(row, cov_pair(model, i + 1, j + 1, s, t)), (formula.__name__, i, j)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3]), critical_pair=st.booleans())
+def test_pair_coeffs_are_the_entries_of_coeffs_from_mixing(seed, p, critical_pair):
+    m = random_mixing(np.random.default_rng(seed), p, critical_pair=critical_pair)
+    model = vfbm.coeffs_from_mixing(m)
+    for a in range(p):
+        for b in range(a + 1, p):
+            assert _pair_coeffs(m, a, b) == (model.c[a, b], model.c[b, a], model.f[a, b])
+
+
+def test_cov_same_on_a_column_keeps_the_square_of_its_float():
+    # libm's pow gives 4.869891801608191**2 one ulp away from the product, which
+    # numpy's square of an array computes
+    sigma = 4.869891801608191
+    s, t = np.array([0.5, 1.0, -2.0]), np.array([1.5, 0.25, 3.0])
+    values = cov_same(np.array([[0.3], [0.7]]), np.array([[sigma], [sigma]]), s, t)
+    for row, h in zip(values, (0.3, 0.7)):
+        assert np.array_equal(row, cov_same(h, sigma, s, t))

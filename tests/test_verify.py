@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import vfbm.covariance
 from vfbm import coeffs_from_mixing, cov_pair
 from vfbm import verify
 from vfbm.verify import random_mixing, suite_theorem1
@@ -72,7 +73,7 @@ def _nan_on_call(monkeypatch, name: str, nth: int) -> None:
 @pytest.mark.parametrize(
     "suite, sizes, name, nth, check",
     [
-        ("theorem1", {"n_draws": 5}, "cov_pair", 1, "theorem1/scaling"),
+        ("theorem1", {"n_draws": 5}, "_theorem1_values", 1, "theorem1/scaling"),
         ("prop31", {"n_models": 2}, "cov_pair", 1, "prop31/closed_form_vs_kernel_assembly"),
         ("prop31", {"n_models": 2}, "assemble_via_kernels", 1, "prop31/variance_vs_kernel_assembly"),
         ("tildec", {"n_models": 3}, "phi", 1, "tildec/amplitude_identity"),
@@ -85,3 +86,22 @@ def test_a_nan_statistic_fails_its_record(monkeypatch, suite, sizes, name, nth, 
     _nan_on_call(monkeypatch, name, nth)
     record = next(r for r in verify.SUITES[suite](0, **sizes) if r["check"] == check)
     assert math.isnan(record["statistic"]) and record["pass"] is False
+
+
+@pytest.mark.parametrize("name", ["cov_same", "_cov_critical", "_cov_general"])
+def test_theorem1_raises_cov_pairs_error_on_a_value_that_is_not_finite(monkeypatch, name):
+    # with one regime's formula made infinite, the batch names the first such
+    # draw's first point, in cov_pair's orientation, as point-by-point calls do
+    # (at seed 0 the first critical draw, the 13th, queries (2, 1))
+    real = getattr(verify, name)
+
+    def infinite(*args):
+        return real(*args) + math.inf
+
+    monkeypatch.setattr(vfbm.covariance, name, infinite)
+    monkeypatch.setattr(verify, name, infinite)
+    with pytest.raises(ValueError, match="not finite") as expected:
+        _theorem1_point_by_point(0, 16)
+    with pytest.raises(ValueError) as batched:
+        suite_theorem1(0, n_draws=16)
+    assert str(batched.value) == str(expected.value)
