@@ -76,13 +76,18 @@ class CriticalRegimeError(VfbmError):
 
 
 class DegenerateComponentError(VfbmError):
-    """A mixing-matrix row produces zero variance; the component is degenerate."""
+    """A mixing-matrix row produces zero variance; the component is degenerate.
+
+    ``index`` is the 1-based component; ``at`` is the position of the mixing
+    in a stack of them, () for a single mixing.
+    """
 
     code = "DegenerateComponent"
 
-    def __init__(self, index: int, variance: float):
+    def __init__(self, index: int, variance: float, at: tuple[int, ...] = ()):
         self.index = index
         self.variance = variance
+        self.at = at
         super().__init__(f"component {index} has non-positive variance {variance:.6e}")
 
 

@@ -7,10 +7,14 @@ The process components are built from causal / anti-causal integrals
 
 and every model covariance is an alpha-weighted sum of the four products
 E I+-(s) I+-(t).  ``kernel_cov`` evaluates the closed forms for those four
-products in both regimes (general H_i+H_j != 1, critical H_i+H_j = 1);
+products in both regimes (general H_i+H_j != 1, critical H_i+H_j = 1).  Each
+regime's formula (``_kernel_critical``, ``_kernel_general``) also takes its
+coefficients as columns, so that one array call evaluates many pairs, as
+the kernel assembly of ``representation`` does.
 ``quadrature_kernel_oracle`` evaluates the same quantities by deterministic
 adaptive quadrature of the kernel product and is the independent check used
-throughout the test suite.
+throughout the test suite; it refines all its pieces level by level, one
+integrand call per level.
 
 Conventions: 0^a = 0 for a > 0 and 0*log 0 = 0, so every formula vanishes
 exactly at s = 0 or t = 0.
@@ -24,7 +28,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import NoConvergenceError
-from .special import CRITICAL_TOL, beta, phi
+from .model import check_count
+from .special import _beta_half, _cos_pi, _each, _sin_pi, is_critical, phi
 
 __all__ = [
     "KernelKind",
@@ -84,36 +89,58 @@ def kernel_cov(kind: KernelKind, h_i: float, h_j: float, s, t):
     Accepts scalar or broadcastable array time arguments.  Regime dispatch
     uses the exact-critical tolerance on H_i + H_j.
     """
+    critical = is_critical(h_i + h_j)
+    formula = _kernel_critical if critical else _kernel_general
+    return _maybe_scalar(formula(kind, *_kernel_coeffs(h_i, h_j, critical), s, t))
+
+
+def _kernel_coeffs(h_i, h_j, critical: bool) -> tuple:
+    """The coefficients that the regime's formula takes before (kind, s, t):
+    (B, sin(pi H_i), cos(pi H_i)) if critical, else (H_i + H_j, B, psi,
+    cos(pi H_i), cos(pi H_j)), with B = B(H_i+1/2, H_j+1/2) and psi =
+    phi(H_i, H_j).  h_i and h_j are floats, or columns of pairs all in one
+    regime."""
+    bval = _each(_beta_half, h_i, h_j)
+    cos_i = _each(_cos_pi, h_i)
+    if critical:
+        return bval, _each(_sin_pi, h_i), cos_i
+    return h_i + h_j, bval, _each(phi, h_i, h_j), cos_i, _each(_cos_pi, h_j)
+
+
+def _reflected(kind: KernelKind, s, t):
+    """(kind, s, t) as arrays, with x -> -x, which maps I-(s) onto I+(-s),
+    turning MM into PP and MP into PM at (-s, -t)."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if kind in (KernelKind.MM, KernelKind.MP):  # x -> -x maps I-(s) onto I+(-s)
-        kind = KernelKind.PP if kind is KernelKind.MM else KernelKind.PM
-        s, t = -s, -t
-    alpha = h_i + h_j
-    bval = beta(h_i + 0.5, h_j + 0.5)
-    cos_i, cos_j = math.cos(math.pi * h_i), math.cos(math.pi * h_j)
+    if kind is KernelKind.MM:
+        return KernelKind.PP, -s, -t
+    if kind is KernelKind.MP:
+        return KernelKind.PM, -s, -t
+    return kind, s, t
 
-    if abs(alpha - 1.0) <= CRITICAL_TOL:
-        spread = np.abs(s) + np.abs(t) - np.abs(s - t)
-        if kind is KernelKind.PM:
-            return _maybe_scalar(-0.5 * bval * spread)
-        logpart = _xlogx(s) - _xlogx(t) - _xlogx(s - t)
-        return _maybe_scalar(
-            (bval / math.pi)
-            * (0.5 * math.pi * math.sin(math.pi * h_i) * spread - cos_i * logpart)
-        )
 
+def _kernel_critical(kind: KernelKind, bval, sin_i, cos_i, s, t):
+    """E I(s) I(t) of a critical pair (H_i + H_j = 1); the coefficients are
+    floats, or columns that broadcast against s and t."""
+    kind, s, t = _reflected(kind, s, t)
+    spread = np.abs(s) + np.abs(t) - np.abs(s - t)
+    if kind is KernelKind.PM:
+        return -0.5 * bval * spread
+    logpart = _xlogx(s) - _xlogx(t) - _xlogx(s - t)
+    return (bval / math.pi) * (0.5 * math.pi * sin_i * spread - cos_i * logpart)
+
+
+def _kernel_general(kind: KernelKind, alpha, bval, psi, cos_i, cos_j, s, t):
+    """E I(s) I(t) of a general pair (H_i + H_j != 1); the coefficients are
+    floats, or columns that broadcast against s and t."""
+    kind, s, t = _reflected(kind, s, t)
     if kind is KernelKind.PP:
-        psi = phi(h_i, h_j)
-        return _maybe_scalar(
-            psi
-            * (
-                sign_coeff(cos_i, cos_j, s) * np.abs(s) ** alpha
-                + sign_coeff(cos_j, cos_i, t) * np.abs(t) ** alpha
-                - sign_coeff(cos_i, cos_j, s - t) * np.abs(s - t) ** alpha
-            )
+        return psi * (
+            sign_coeff(cos_i, cos_j, s) * np.abs(s) ** alpha
+            + sign_coeff(cos_j, cos_i, t) * np.abs(t) ** alpha
+            - sign_coeff(cos_i, cos_j, s - t) * np.abs(s - t) ** alpha
         )
-    return _maybe_scalar(bval * (_pow_plus(s - t, alpha) - _pow_plus(s, alpha) - _pow_plus(-t, alpha)))
+    return bval * (_pow_plus(s - t, alpha) - _pow_plus(s, alpha) - _pow_plus(-t, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -152,65 +179,8 @@ def kernel_factor(side: str, h: float, time_point: float, x):
     return np.where(np.isfinite(out), out, 0.0)
 
 
-class _EvalBudget:
-    """Shared countdown of integrand evaluations; exhausting it aborts the oracle."""
-
-    def __init__(self, limit: int):
-        self.remaining = int(limit)
-
-    def spend(self, n: int):
-        self.remaining -= n
-        if self.remaining < 0:
-            raise NoConvergenceError("quadrature evaluation budget exhausted before reaching tolerance")
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 _MAX_DEPTH = 60
-
-
-def _gl_panel(fn, a: float, b: float, budget: _EvalBudget) -> float:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    budget.spend(_GL_NODES.size)
-    return half * float(np.dot(_GL_WEIGHTS, fn(mid + half * _GL_NODES)))
-
-
-def _gl_adaptive(fn, tol: float, budget: _EvalBudget) -> float:
-    """Adaptive Gauss-Legendre on [0, 1] with local tolerance proportional to width."""
-    total = 0.0
-    stack = [(0.0, 1.0, _gl_panel(fn, 0.0, 1.0, budget), 0)]
-    while stack:
-        a, b, whole, depth = stack.pop()
-        mid = 0.5 * (a + b)
-        left = _gl_panel(fn, a, mid, budget)
-        right = _gl_panel(fn, mid, b, budget)
-        err = abs(left + right - whole)
-        if err <= tol * (b - a) or depth >= _MAX_DEPTH:
-            if depth >= _MAX_DEPTH and err > tol * (b - a):
-                raise NoConvergenceError("quadrature failed to converge within depth limit")
-            total += left + right
-        else:
-            stack.append((a, mid, left, depth + 1))
-            stack.append((mid, b, right, depth + 1))
-    return total
-
-
-def _anchored_piece(g, anchor: float, length: float, q: int, tol: float, budget: _EvalBudget) -> float:
-    """Integral of g over the interval from anchor to anchor+length.
-
-    Substitutes x = anchor + length * v^q, which absorbs an algebraic
-    singularity of g at the anchor endpoint; q = 1 means no singularity.
-    """
-    if length == 0.0:
-        return 0.0
-    scale = abs(length) * q
-
-    def transformed(v):
-        vq = v ** (q - 1) if q > 1 else np.ones_like(v)
-        vals = g(anchor + length * v**q) * (scale * vq)
-        return np.where(np.isfinite(vals), vals, 0.0)
-
-    return _gl_adaptive(transformed, tol, budget)
 
 
 def _endpoint_exponent(e: float, factors) -> int:
@@ -225,6 +195,123 @@ def _endpoint_exponent(e: float, factors) -> int:
     if not singular:
         return 1
     return min(40, max(4, math.ceil(3.0 / (1.0 + gamma))))
+
+
+def _oracle_pieces(kind: KernelKind, h_i: float, h_j: float, s: float, t: float):
+    """The kernel product g and the pieces (anchor, length, q, edge) whose
+    integrals over [0, 1] sum to the integral of g over the real line.
+
+    Piece v -> x = anchor + length * v^q runs from the anchor, where an
+    algebraic singularity of g is absorbed by q (q = 1 means none).  A tail
+    piece (edge finite; nan otherwise) first maps u in (0, 1] to x = edge/u.
+    """
+    side1, side2 = _KIND_SIDES[kind]
+    factors = [(side1, h_i, s), (side2, h_j, t)]
+
+    def g(x):
+        return kernel_factor(side1, h_i, s, x) * kernel_factor(side2, h_j, t, x)
+
+    lo1, hi1 = (-math.inf, max(s, 0.0)) if side1 == "+" else (min(s, 0.0), math.inf)
+    lo2, hi2 = (-math.inf, max(t, 0.0)) if side2 == "+" else (min(t, 0.0), math.inf)
+    lo, hi = max(lo1, lo2), min(hi1, hi2)
+    if hi <= lo:
+        return g, []
+
+    inner = sorted({v for v in (0.0, s, t) if lo < v < hi})
+    edges = ([] if lo == -math.inf else [lo]) + inner + ([] if hi == math.inf else [hi])
+    span = max(1.0, abs(s), abs(t))
+    left_tail = lo == -math.inf
+    right_tail = hi == math.inf
+    if left_tail:
+        cut = (edges[0] if edges else min(0.0, s, t)) - 4.0 * span
+        edges.insert(0, cut)
+    if right_tail:
+        cut = (edges[-1] if edges else max(0.0, s, t)) + 4.0 * span
+        edges.append(cut)
+
+    pieces = []
+    for a, b in zip(edges, edges[1:]):
+        m = 0.5 * (a + b)
+        pieces.append((a, m - a, _endpoint_exponent(a, factors), math.nan))
+        pieces.append((b, -(b - m), _endpoint_exponent(b, factors), math.nan))
+    # u in (0, 1]: u -> 0 is the far field, u = 1 is the cut point, where the
+    # product decays like |x|^(H_i+H_j-3) after increment cancellation
+    q_tail = min(40, max(4, math.ceil(3.0 / (2.0 - (h_i + h_j)))))
+    for is_present, edge in ((left_tail, edges[0]), (right_tail, edges[-1])):
+        if is_present:
+            pieces += [(0.0, 0.5, q_tail, edge), (1.0, -0.5, 1, edge)]
+    return g, pieces
+
+
+def _gl_adaptive(g, pieces, tol: float, max_evals: int) -> list[float]:
+    """The integral of each piece of ``_oracle_pieces`` by adaptive 15-point
+    Gauss-Legendre on [0, 1], with local tolerance proportional to width.
+
+    A panel is split until its halves agree with it within tol times its
+    width.  The refinement runs level by level: every open panel of every
+    piece is evaluated in one integrand call, and each piece's accepted
+    panels are summed from right to left, the order in which a depth-first
+    refinement that splits the right half first accepts them.  A piece of
+    length 0 is 0 and costs nothing.  Raises NoConvergenceError once more than
+    max_evals integrand values would be needed, or at depth _MAX_DEPTH.
+    """
+    anchor, length, q, edge = (np.array([pc[c] for pc in pieces], dtype=float) for c in range(4))
+    weight = np.abs(length) * q
+    tail = ~np.isnan(edge)
+    spent = 0
+
+    def panels(k, a, b):
+        nonlocal spent
+        spent += _GL_NODES.size * k.size
+        if spent > max_evals:
+            raise NoConvergenceError("quadrature evaluation budget exhausted before reaching tolerance")
+        half = 0.5 * (b - a)
+        v = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+        # u = anchor + length v^q with weight |length| q v^(q-1); a tail piece
+        # then maps u to x = edge/u with weight |edge|/u^2, and drops u <= 0
+        qk, tk, ek = q[k, None], tail[k, None], edge[k, None]
+        vq = np.where(qk > 1.0, v ** (qk - 1.0), 1.0)
+        u = anchor[k, None] + length[k, None] * v**qk
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            safe = np.where(u > 0.0, u, 1.0)
+            vals = g(np.where(tk, ek / safe, u)) * np.where(tk, np.abs(ek) / safe**2, 1.0)
+            vals = np.where(np.isfinite(vals) & ((u > 0.0) | ~tk), vals, 0.0) * (weight[k, None] * vq)
+        vals = np.where(np.isfinite(vals), vals, 0.0)
+        # (1, 15) @ (15, 1) per panel is the dot product np.dot(_GL_WEIGHTS, row) takes
+        return half * np.matmul(vals[:, None, :], _GL_WEIGHTS[:, None])[:, 0, 0]
+
+    k = np.flatnonzero(length != 0.0)
+    a, b = np.zeros(k.size), np.ones(k.size)
+    whole = None  # the first level evaluates each piece whole, with its halves
+    done_k, done_a, done_v = [k[:0]], [a[:0]], [a[:0]]  # accepted panels: piece, start, value
+    depth = 0
+    while k.size:
+        mid = 0.5 * (a + b)
+        n = k.size
+        if whole is None:
+            values = panels(np.tile(k, 3), np.concatenate([a, mid, a]), np.concatenate([mid, b, b]))
+            whole = values[2 * n :]
+        else:
+            values = panels(np.tile(k, 2), np.concatenate([a, mid]), np.concatenate([mid, b]))
+        left, right = values[:n], values[n : 2 * n]
+        err = np.abs(left + right - whole)
+        done = err <= tol * (b - a)
+        if depth >= _MAX_DEPTH:
+            if (err > tol * (b - a)).any():
+                raise NoConvergenceError("quadrature failed to converge within depth limit")
+            done[:] = True
+        done_k.append(k[done])
+        done_a.append(a[done])
+        done_v.append((left + right)[done])
+        open_ = ~done
+        k, a, b, whole = (np.concatenate([x[open_], y[open_]]) for x, y in ((k, k), (a, mid), (mid, b), (left, right)))
+        depth += 1
+
+    ks, starts, values = (np.concatenate(x).tolist() for x in (done_k, done_a, done_v))
+    totals = [0.0] * len(pieces)
+    for piece, _, value in sorted(zip(ks, [-a for a in starts], values)):
+        totals[piece] += value
+    return totals
 
 
 def quadrature_kernel_oracle(
@@ -242,65 +329,21 @@ def quadrature_kernel_oracle(
     piece is integrated by adaptive Gauss-Legendre after a power substitution
     absorbing the endpoint singularities.  Unbounded tails, where the product
     decays like |x|^(H_i+H_j-3) after increment cancellation, are mapped to
-    (0, 1] by x -> edge/u, so no truncation error is incurred.
+    (0, 1] by x -> edge/u, so no truncation error is incurred.  Each piece
+    gets tol divided by the number of pieces.
 
-    Raises NoConvergenceError if the evaluation budget (default 1e6) runs out.
+    Raises ValueError unless tol > 0 and max_evals is a positive integer, and
+    NoConvergenceError if the evaluation budget (default 1e6) runs out.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    max_evals = check_count("max_evals", max_evals, 1)
     s = float(s)
     t = float(t)
     if s == 0.0 or t == 0.0:
         return 0.0
-    side1, side2 = _KIND_SIDES[kind]
-    factors = [(side1, h_i, s), (side2, h_j, t)]
-
-    def g(x):
-        return kernel_factor(side1, h_i, s, x) * kernel_factor(side2, h_j, t, x)
-
-    lo1, hi1 = (-math.inf, max(s, 0.0)) if side1 == "+" else (min(s, 0.0), math.inf)
-    lo2, hi2 = (-math.inf, max(t, 0.0)) if side2 == "+" else (min(t, 0.0), math.inf)
-    lo, hi = max(lo1, lo2), min(hi1, hi2)
-    if hi <= lo:
-        return 0.0
-
-    inner = sorted({v for v in (0.0, s, t) if lo < v < hi})
-    edges = ([] if lo == -math.inf else [lo]) + inner + ([] if hi == math.inf else [hi])
-    span = max(1.0, abs(s), abs(t))
-    left_tail = lo == -math.inf
-    right_tail = hi == math.inf
-    if left_tail:
-        cut = (edges[0] if edges else min(0.0, s, t)) - 4.0 * span
-        edges.insert(0, cut)
-    if right_tail:
-        cut = (edges[-1] if edges else max(0.0, s, t)) + 4.0 * span
-        edges.append(cut)
-
-    n_units = 2 * (len(edges) - 1) + 2 * (int(left_tail) + int(right_tail))
-    unit_tol = tol / max(1, n_units)
-    budget = _EvalBudget(max_evals)
-    alpha = h_i + h_j
-    q_tail = min(40, max(4, math.ceil(3.0 / (2.0 - alpha))))
-
+    g, pieces = _oracle_pieces(kind, h_i, h_j, s, t)
     total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        m = 0.5 * (a + b)
-        total += _anchored_piece(g, a, m - a, _endpoint_exponent(a, factors), unit_tol, budget)
-        total += _anchored_piece(g, b, -(b - m), _endpoint_exponent(b, factors), unit_tol, budget)
-
-    for is_present, edge in ((left_tail, edges[0]), (right_tail, edges[-1])):
-        if not is_present:
-            continue
-
-        def tail(u, edge=edge):
-            u = np.asarray(u, dtype=float)
-            safe = np.where(u > 0.0, u, 1.0)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                vals = g(edge / safe) * (abs(edge) / safe**2)
-            return np.where((u > 0.0) & np.isfinite(vals), vals, 0.0)
-
-        # u in (0, 1]: u -> 0 is the far field, u = 1 is the cut point.
-        total += _anchored_piece(tail, 0.0, 0.5, q_tail, unit_tol, budget)
-        total += _anchored_piece(tail, 1.0, -0.5, 1, unit_tol, budget)
-
+    for value in _gl_adaptive(g, pieces, tol / max(1, len(pieces)), max_evals):
+        total += value
     return total

@@ -120,6 +120,15 @@ def _check_components(p: int, *indices: int) -> None:
             raise IndexOutOfRangeError(f"component indices ({listed}) out of range for p = {p}")
 
 
+def check_count(name: str, n: int, low: int, error: type[Exception] = ValueError) -> int:
+    """The count n as an int; ``error`` unless it is an integer (not a bool) >= low."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise error(f"{name} must be an integer, got {n!r}")
+    if n < low:
+        raise error(f"{name} must be >= {low}, got {n}")
+    return int(n)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -197,7 +206,8 @@ class MixingMatrices:
         sigma_i^2 = B(H_i+1/2, H_i+1/2) / sin(pi H_i) * (app + amm - 2 sin(pi H_i) apm)_ii.
 
     A component with sigma_i^2 <= 1e-14 has no coefficient model and raises
-    DegenerateComponentError (1-based index).
+    DegenerateComponentError (1-based index).  ``_gram_and_sigma`` does this
+    arithmetic, also for a stack of mixings at once.
     """
 
     a_plus: np.ndarray
@@ -214,30 +224,8 @@ class MixingMatrices:
         am = np.array(self.a_minus, dtype=float)
         if ap.shape != (p, p) or am.shape != (p, p):
             raise ValueError(f"mixing matrices must be {p}x{p}, got {ap.shape} and {am.shape}")
-        # a non-finite entry of a row makes the diagonal of its Gram product
-        # non-finite, and entries near 1e154 and beyond overflow the products
-        gram = np.empty((3, p, p))
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(ap, ap.T, out=gram[0])
-            np.matmul(am, am.T, out=gram[1])
-            np.matmul(ap, am.T, out=gram[2])
-        if not np.isfinite(gram).all():
-            raise ValueError(
-                "mixing matrices must be finite, and their Gram products A+ A+^T, A- A-^T, A+ A-^T must not overflow"
-            )
+        gram, sigma = _gram_and_sigma(ap, am, self.hurst.h)
         app, amm, apm = gram
-        sigma = np.empty(p)
-        diagonals = zip(app.diagonal().tolist(), amm.diagonal().tolist(), apm.diagonal().tolist())
-        for k, (pp, mm, pm) in enumerate(diagonals):
-            h = self.hurst[k]
-            sin_h = math.sin(math.pi * h)
-            # in Python floats an overflow gives inf, with no warning
-            var = beta(h + 0.5, h + 0.5) / sin_h * (pp + mm - 2.0 * sin_h * pm)
-            if not math.isfinite(var):
-                raise ValueError(f"mixing matrices too large: the variance of component {k + 1} overflows")
-            if var <= _DEGENERATE_TOL:
-                raise DegenerateComponentError(k + 1, var)
-            sigma[k] = math.sqrt(var)
         object.__setattr__(self, "a_plus", _frozen(ap))
         object.__setattr__(self, "a_minus", _frozen(am))
         object.__setattr__(self, "app", _frozen(app))
@@ -248,6 +236,46 @@ class MixingMatrices:
     @property
     def p(self) -> int:
         return self.hurst.p
+
+
+def _gram_and_sigma(ap: np.ndarray, am: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """Gram products and scales of mixings (A+, A-) stacked along leading axes.
+
+    ap and am are (..., p, p) arrays and h their exponents, (..., p) or a
+    length-p sequence.  Returns gram, (3, ..., p, p), holding A+ A+^T,
+    A- A-^T and A+ A-^T, and sigma, (..., p), from
+
+        sigma_i^2 = B(H_i+1/2, H_i+1/2) / sin(pi H_i) * (app + amm - 2 sin(pi H_i) apm)_ii,
+
+    in Python floats, entry by entry.  Raises ValueError if a product or a
+    variance is not finite (a non-finite entry, or one near 1e154 or beyond),
+    and DegenerateComponentError for a variance at or below _DEGENERATE_TOL,
+    with ``at`` the position of its mixing in the stack; the first such entry
+    in C order decides.
+    """
+    gram = np.empty((3,) + ap.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(ap, ap.swapaxes(-1, -2), out=gram[0])
+        np.matmul(am, am.swapaxes(-1, -2), out=gram[1])
+        np.matmul(ap, am.swapaxes(-1, -2), out=gram[2])
+    if not np.isfinite(gram).all():
+        raise ValueError(
+            "mixing matrices must be finite, and their Gram products A+ A+^T, A- A-^T, A+ A-^T must not overflow"
+        )
+    h = np.asarray(h, dtype=float)
+    var = []
+    diagonals = (d.ravel().tolist() for d in gram.diagonal(0, -2, -1))
+    for h_k, pp, mm, pm in zip(h.ravel().tolist(), *diagonals):
+        sin_h = math.sin(math.pi * h_k)
+        # in Python floats an overflow gives inf, with no warning
+        v = beta(h_k + 0.5, h_k + 0.5) / sin_h * (pp + mm - 2.0 * sin_h * pm)
+        if not math.isfinite(v) or v <= _DEGENERATE_TOL:
+            *at, k = (int(x) for x in np.unravel_index(len(var), h.shape))
+            if not math.isfinite(v):
+                raise ValueError(f"mixing matrices too large: the variance of component {k + 1} overflows")
+            raise DegenerateComponentError(k + 1, v, tuple(at))
+        var.append(v)
+    return gram, np.sqrt(np.array(var).reshape(h.shape))
 
 
 @dataclass(frozen=True)

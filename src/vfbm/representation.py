@@ -12,7 +12,11 @@ them, and from them the scales sigma, once, on construction.
 sigma and the c and f arrays of ``CovarianceModel``);
 ``assemble_via_kernels`` computes the same covariances directly as the
 alpha-weighted sum of elementary kernel covariances and serves as the
-independent oracle for that mapping.
+independent oracle for that mapping.  ``_pair_coeffs`` takes a pair's
+exponents, Gram entries and scales as floats, or as columns of many pairs in
+one regime; ``_assemble_rows`` assembles many (i, j) rows, each of its own
+model, in one pass per regime.  Either way each entry gets the bits of the
+one-pair call.
 
 ``tilde_c`` builds the amplitude matrix
 
@@ -28,15 +32,14 @@ performs it by Cholesky.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InfeasibleFactorizationError, SingularCosineError
-from .kernels import KernelKind, kernel_cov
+from .kernels import KernelKind, _kernel_coeffs, _kernel_critical, _kernel_general, _maybe_scalar
 from .model import CovarianceModel, HurstVector, MixingMatrices, _check_components, parse_model, read_json
-from .special import beta, phi
+from .special import _beta_half, _cos_pi, _each, _sin_pi, is_critical, phi
 
 __all__ = [
     "sigma_from_mixing",
@@ -70,40 +73,41 @@ def coeffs_from_mixing(m: MixingMatrices) -> CovarianceModel:
     p = m.p
     c = np.eye(p)
     f = np.zeros((p, p))
+    h = m.hurst
+    gram = (m.app, m.amm, m.apm)
     for i in range(p):
         for j in range(i + 1, p):
-            c[i, j], c[j, i], f_ij = _pair_coeffs(m, i, j)
-            if m.hurst.critical[i, j]:  # general pairs keep f = +0.0
+            critical = bool(h.critical[i, j])
+            c[i, j], c[j, i], f_ij = _pair_coeffs(
+                h[i], h[j], [g[i, j] for g in gram], [g[j, i] for g in gram], m.sigma[i] * m.sigma[j], critical
+            )
+            if critical:  # general pairs keep f = +0.0
                 f[i, j], f[j, i] = f_ij, -f_ij
     return CovarianceModel(hurst=m.hurst, sigma=m.sigma, c=c, f=f)
 
 
-def _pair_coeffs(m: MixingMatrices, i: int, j: int) -> tuple[float, float, float]:
-    """(c_ij, c_ji, f_ij) of the pair i < j (0-based): (d_ij, d_ij, f_ij) for a
-    critical pair, (c_ij, c_ji, 0.0) for a general one."""
-    h = m.hurst
-    hi, hj = h[i], h[j]
-    app, amm, apm = m.app, m.amm, m.apm
-    ss = m.sigma[i] * m.sigma[j]
-    if h.critical[i, j]:
-        b = beta(hi + 0.5, hj + 0.5)
-        d = (
-            b
-            * (
-                0.5 * (math.sin(math.pi * hi) + math.sin(math.pi * hj)) * (app[i, j] + amm[i, j])
-                - apm[i, j]
-                - apm[j, i]
-            )
-            / ss
-        )
-        return d, d, (hj - hi) * (app[i, j] - amm[i, j]) / ss
-    ci = math.cos(math.pi * hi)
-    cj = math.cos(math.pi * hj)
-    psi = phi(hi, hj)
-    sin_sum = math.sin(math.pi * (hi + hj))
+def _pair_coeffs(h_i, h_j, gram_ij, gram_ji, ss, critical: bool) -> tuple:
+    """(c_ij, c_ji, f_ij) of pairs i < j: (d_ij, d_ij, f_ij) if critical, else
+    (c_ij, c_ji, 0.0).
+
+    h_i and h_j are the exponents, gram_ij and gram_ji the Gram entries
+    (app, amm, apm) at (i, j) and at (j, i), and ss = sigma_i sigma_j: floats,
+    or columns of pairs all in the one regime; the sine, cosine, Beta and phi
+    factors are Python's scalar math at each entry.
+    """
+    app_ij, amm_ij, apm_ij = gram_ij
+    app_ji, amm_ji, apm_ji = gram_ji
+    if critical:
+        b = _each(_beta_half, h_i, h_j)
+        d = b * (0.5 * (_each(_sin_pi, h_i) + _each(_sin_pi, h_j)) * (app_ij + amm_ij) - apm_ij - apm_ji) / ss
+        return d, d, (h_j - h_i) * (app_ij - amm_ij) / ss
+    ci = _each(_cos_pi, h_i)
+    cj = _each(_cos_pi, h_j)
+    psi = _each(phi, h_i, h_j)
+    sin_sum = _each(_sin_pi, h_i + h_j)
     return (
-        2.0 * psi * (app[i, j] * ci + amm[i, j] * cj - apm[i, j] * sin_sum) / ss,
-        2.0 * psi * (app[j, i] * cj + amm[j, i] * ci - apm[j, i] * sin_sum) / ss,
+        2.0 * psi * (app_ij * ci + amm_ij * cj - apm_ij * sin_sum) / ss,
+        2.0 * psi * (app_ji * cj + amm_ji * ci - apm_ji * sin_sum) / ss,
         0.0,
     )
 
@@ -158,13 +162,38 @@ def assemble_via_kernels(m: MixingMatrices, i: int, j: int, s, t):
     unless 1 <= i, j <= p.
     """
     _check_components(m.p, i, j)
-    hi, hj = m.hurst[i - 1], m.hurst[j - 1]
-    k = (i - 1, j - 1)
+    a, b = i - 1, j - 1
+    h_i, h_j = m.hurst[a], m.hurst[b]
+    weights = (m.app[a, b], m.apm[a, b], m.apm[b, a], m.amm[a, b])
+    return _maybe_scalar(_kernel_sum(h_i, h_j, weights, is_critical(h_i + h_j), s, t))
+
+
+def _assemble_rows(h_i, h_j, weights: tuple, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """assemble_via_kernels of every row k, each row with its own model: h_i,
+    h_j and weights = (app_ij, apm_ij, apm_ji, amm_ij) are (R,) columns of the
+    queried components, s and t (R, n) times.  Each regime's kernel sum runs
+    once over its rows, with the coefficients as (R, 1) columns."""
+    critical = is_critical(h_i + h_j)
+    out = np.empty(np.shape(s))
+    for rows, regime in ((critical, True), (~critical, False)):
+        if rows.any():
+            h_r, w_r = (h_i[rows, None], h_j[rows, None]), tuple(w[rows, None] for w in weights)
+            out[rows] = _kernel_sum(*h_r, w_r, regime, s[rows], t[rows])
+    return out
+
+
+def _kernel_sum(h_i, h_j, weights: tuple, critical: bool, s, t):
+    """app_ij E I+I+ + apm_ij E I+I- + apm_ji E I-I+ + amm_ij E I-I- at (s, t), with
+    weights = (app_ij, apm_ij, apm_ji, amm_ij); the exponents and weights are
+    floats, or columns of pairs all in the one regime."""
+    formula = _kernel_critical if critical else _kernel_general
+    coeffs = _kernel_coeffs(h_i, h_j, critical)
+    app_ij, apm_ij, apm_ji, amm_ij = weights
     return (
-        m.app[k] * kernel_cov(KernelKind.PP, hi, hj, s, t)
-        + m.apm[k] * kernel_cov(KernelKind.PM, hi, hj, s, t)
-        + m.apm[k[::-1]] * kernel_cov(KernelKind.MP, hi, hj, s, t)
-        + m.amm[k] * kernel_cov(KernelKind.MM, hi, hj, s, t)
+        app_ij * formula(KernelKind.PP, *coeffs, s, t)
+        + apm_ij * formula(KernelKind.PM, *coeffs, s, t)
+        + apm_ji * formula(KernelKind.MP, *coeffs, s, t)
+        + amm_ij * formula(KernelKind.MM, *coeffs, s, t)
     )
 
 

@@ -56,7 +56,7 @@ import numpy as np
 from .covariance import cov_matrix, cov_pair
 from .errors import ConfigError, NotPsdError
 from .kernels import kernel_factor
-from .model import CovarianceModel, MixingMatrices, TimeGrid
+from .model import CovarianceModel, MixingMatrices, TimeGrid, check_count
 
 __all__ = [
     "McConfig",
@@ -86,15 +86,6 @@ def check_seed(seed: int) -> int:
     if isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64:
         return int(seed)
     raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-
-
-def check_count(name: str, n: int, low: int, error: type[Exception] = ValueError) -> int:
-    """The count n as an int; ``error`` unless it is an integer (not a bool) >= low."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise error(f"{name} must be an integer, got {n!r}")
-    if n < low:
-        raise error(f"{name} must be >= {low}, got {n}")
-    return int(n)
 
 
 @dataclass(frozen=True, eq=False)

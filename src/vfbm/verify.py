@@ -5,13 +5,18 @@ suitable for JSON emission; the CLI ``verify`` subcommand is a thin wrapper.
 These suites are the one definition of each check: the acceptance tests
 run them at their own seeds and sizes.
 
-The closed forms are evaluated in batches.  ``theorem1`` makes all its
-draws first, in the order of the RNG stream, recording each queried pair's
-regime (same component, critical, general) and coefficients; then each
-regime's formula runs once over the (s, t) points of all its draws, with
-the coefficients as columns, and the statistics are folded in draw order.
-The ``n_times`` points of one ``prop31`` pair go through one ``cov_pair``
-and one ``assemble_via_kernels`` call.  An array ``**`` may round
+The closed forms are evaluated in batches, by ``_cov_rows``: each row is
+one (i, j) query of its own model at its own times, and each regime's
+formula (same component, critical, general) runs once over its rows, with
+the coefficients as columns.  ``theorem1`` makes all its draws first, in
+the order of the RNG stream, recording only the raw exponents and mixing
+matrices; one stacked Gram/sigma pass per p (``_gram_and_sigma``, as
+``MixingMatrices`` computes them) and one ``_pair_coeffs`` pass per p and
+regime give the coefficients, and the statistics are folded in draw order.
+A draw whose mixing ``random_mixing`` would reject as degenerate makes the
+suite replay its draws from the seed, discarding that mixing.  ``prop31``
+draws the points of all pairs of a model in one call and evaluates the pairs
+of all its models in one closed-form and one kernel-assembly pass.  An array ``**`` may round
 differently from the scalar one (a vector ``pow`` can differ by 1 ulp), so
 a statistic may differ from a point-by-point evaluation at rounding level.
 Every worst value is folded with ``_fold``, which keeps a NaN, so a NaN
@@ -22,20 +27,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .covariance import _cov_critical, _cov_general, _raise_not_finite, cov_matrix, cov_pair, cov_same
+from .covariance import _cov_critical, _cov_general, _raise_not_finite, cov_matrix, cov_same
 from .errors import DegenerateComponentError, InfeasibleFactorizationError
 from .kernels import KernelKind, kernel_cov, quadrature_kernel_oracle
-from .model import HurstVector, MixingMatrices, TimeGrid, validate_hurst
-from .representation import (
-    _pair_coeffs,
-    assemble_via_kernels,
-    causal_factorize,
-    coeffs_from_mixing,
-    sigma_from_mixing,
-    tilde_c,
-)
+from .model import CovarianceModel, HurstVector, MixingMatrices, TimeGrid, _gram_and_sigma, validate_hurst
+from .representation import _assemble_rows, _pair_coeffs, causal_factorize, coeffs_from_mixing, tilde_c
 from .simulate import McConfig, check_seed, mc_integral_oracle
-from .special import phi
+from .special import is_critical, phi
 
 __all__ = ["random_hurst", "random_mixing", "run_suite", "SUITES"]
 
@@ -50,13 +48,19 @@ _MC_REPS = 20_000  # the Monte Carlo suite's replications
 
 def random_hurst(rng: np.random.Generator, p: int, critical_pair: bool = False) -> HurstVector:
     """Exponents with all pair sums clear of 1; optionally pair (1,2) exactly critical."""
+    return validate_hurst(_draw_hurst(rng, p, critical_pair).tolist())
+
+
+def _draw_hurst(rng: np.random.Generator, p: int, critical_pair: bool) -> np.ndarray:
+    """random_hurst's exponents as an array, drawn alike but not validated."""
     while True:
         h = rng.uniform(_H_LO, _H_HI, size=p)
         if critical_pair:
             h[1] = 1.0 - h[0]
+        v = h.tolist()
         pairs = ((i, j) for i in range(p) for j in range(i + 1, p) if (i, j) != (0, 1) or not critical_pair)
-        if all(abs(h[i] + h[j] - 1.0) >= _PAIR_SUM_MARGIN for i, j in pairs):
-            return validate_hurst(h.tolist())
+        if all(abs(v[i] + v[j] - 1.0) >= _PAIR_SUM_MARGIN for i, j in pairs):
+            return h
 
 
 def random_mixing(
@@ -98,22 +102,36 @@ def _record(check: str, statistic: float, tolerance: float) -> dict:
 
 def suite_theorem1(seed: int, n_draws: int = 400) -> list[dict]:
     """Self-similarity, stationary increments, symmetrization, zero boundary."""
-    rng = np.random.default_rng(seed)
-    draws = []  # (i, j, s, t, T, lambda, H_i + H_j, sigma_i sigma_j r_ij) of each draw
-    pairs = []  # (formula, coefficients) of each draw's pair, as _theorem1_pair gives them
-    for k in range(n_draws):
-        p = int(rng.integers(2, 4))
-        m = random_mixing(rng, p, critical_pair=(k % 3 == 0), a_minus_scale=float(rng.uniform(0, 1.5)))
-        i, j = (int(v) for v in rng.integers(1, p + 1, size=2))
-        s, t, big_t = (float(v) for v in rng.uniform(-3, 3, size=3))
-        lam = float(rng.uniform(0.2, 5.0))
-        formula, coeffs, r = _theorem1_pair(m, min(i, j) - 1, max(i, j) - 1)
-        kappa2 = float(m.sigma[i - 1]) * float(m.sigma[j - 1]) * r
-        draws.append((i, j, s, t, big_t, lam, m.hurst[i - 1] + m.hurst[j - 1], kappa2))
-        pairs.append((formula, coeffs))
+    rejected: dict[int, int] = {}  # draw -> degenerate mixings random_mixing discards there
+    while True:
+        p, h, a_plus, a_minus, i, j, times = _theorem1_draws(seed, n_draws, rejected)
+        stacks, degenerate = [], []
+        for q in (2, 3):
+            ks = np.flatnonzero(p == q)
+            if ks.size:
+                hq = h[ks, :q]
+                try:
+                    stacks.append((ks, hq, *_gram_and_sigma(a_plus[ks, :q, :q], a_minus[ks, :q, :q], hq)))
+                except DegenerateComponentError as exc:
+                    degenerate.append(int(ks[exc.at[0]]))
+        if not degenerate:
+            break
+        # replay from the seed: the draws before the first degenerate one are unchanged
+        k = min(degenerate)
+        rejected[k] = rejected.get(k, 0) + 1
+
+    critical, coeffs, r = _theorem1_coeffs(i, j, stacks)
+    h_a, h_b, sigma_a, sigma_b = coeffs[:4]
+    kappa2 = sigma_a * sigma_b * r
+    s, t, tt, lam = times.T
+    zero = np.zeros_like(s)
+    # base, scaled, the four increment points, the two zero-boundary points, the reversed orientation
+    s_pts = np.stack([s, lam * s, s + tt, s + tt, tt, tt, zero, s, t], axis=1)
+    t_pts = np.stack([t, lam * t, t + tt, tt, t + tt, tt, t, zero, s], axis=1)
+    values = _cov_rows(i, j, critical, coeffs, s_pts, t_pts).tolist()
 
     worst = {"scaling": 0.0, "stationary_increments": 0.0, "symmetrization": 0.0, "zero_boundary": 0.0}
-    for (i, j, s, t, big_t, lam, h_sum, kappa2), v in zip(draws, _theorem1_values(draws, pairs).tolist()):
+    for (s, t, _, lam), h_sum, k2, v in zip(times.tolist(), (h_a + h_b).tolist(), kappa2.tolist(), values):
         base, scaled = v[0], v[1]
         scale_ref = max(1.0, abs(scaled), abs(base) * lam**h_sum)
         worst["scaling"] = _fold(worst["scaling"], abs(scaled - lam**h_sum * base) / scale_ref)
@@ -123,7 +141,7 @@ def suite_theorem1(seed: int, n_draws: int = 400) -> list[dict]:
             worst["stationary_increments"], abs(inc - base) / max(1.0, abs(base))
         )
 
-        sym_ref = 0.5 * kappa2 * (abs(s) ** h_sum + abs(t) ** h_sum - abs(s - t) ** h_sum)
+        sym_ref = 0.5 * k2 * (abs(s) ** h_sum + abs(t) ** h_sum - abs(s - t) ** h_sum)
         lhs = base + v[8]
         worst["symmetrization"] = _fold(worst["symmetrization"], abs(lhs - 2.0 * sym_ref) / max(1.0, abs(lhs)))
 
@@ -135,68 +153,130 @@ def suite_theorem1(seed: int, n_draws: int = 400) -> list[dict]:
     ]
 
 
-def _theorem1_pair(m: MixingMatrices, a: int, b: int) -> tuple:
-    """The formula of components a <= b (0-based), as cov_pair picks it; its
-    arguments before (s, t), as cov_pair passes them; and R's entry r_ab =
-    (c_ab + c_ba)/2."""
-    sigma = m.sigma
-    if a == b:
-        return cov_same, (m.hurst[a], float(sigma[a])), 1.0
-    c_ab, c_ba, f_ab = _pair_coeffs(m, a, b)
-    r = (c_ab + c_ba) / 2.0
-    if m.hurst.critical[a, b]:
-        return _cov_critical, (float(sigma[a]), float(sigma[b]), c_ab, f_ab), r
-    return _cov_general, (m.hurst[a], m.hurst[b], float(sigma[a]), float(sigma[b]), c_ab, c_ba), r
+def _theorem1_draws(seed: int, n_draws: int, rejected: dict[int, int]) -> tuple:
+    """The draws of suite_theorem1 in the order of its RNG stream, as arrays over
+    the draws: p, H, A+, A- (padded to 3 components), i, j and (s, t, T,
+    lambda).  At draw k the first rejected[k] mixings drawn are discarded, as
+    random_mixing discards degenerate ones."""
+    rng = np.random.default_rng(seed)
+    p = np.empty(n_draws, dtype=int)
+    h = np.zeros((n_draws, 3))
+    a_plus, a_minus = np.zeros((2, n_draws, 3, 3))
+    ij = np.empty((n_draws, 2), dtype=int)
+    times = np.empty((n_draws, 4))
+    for k in range(n_draws):
+        q = p[k] = int(rng.integers(2, 4))
+        a_minus_scale = float(rng.uniform(0, 1.5))
+        h[k, :q] = _draw_hurst(rng, q, critical_pair=(k % 3 == 0))
+        for _ in range(rejected.get(k, 0) + 1):
+            a_plus[k, :q, :q] = rng.normal(size=(q, q))
+            a_minus[k, :q, :q] = a_minus_scale * rng.normal(size=(q, q))
+        ij[k] = rng.integers(1, q + 1, size=2)
+        times[k, :3] = rng.uniform(-3, 3, size=3)
+        times[k, 3] = rng.uniform(0.2, 5.0)
+    return p, h, a_plus, a_minus, ij[:, 0], ij[:, 1], times
 
 
-def _theorem1_values(draws: list[tuple], pairs: list[tuple]) -> np.ndarray:
-    """cov_pair(i, j, .) at the nine points of every draw: base, scaled, the four
-    increment points, the two zero-boundary points and the reversed orientation.
+def _theorem1_coeffs(i: np.ndarray, j: np.ndarray, stacks: dict) -> tuple:
+    """The critical mask, the coefficient columns that _cov_rows takes, and R's
+    entry r_ij, of each draw's queried pair (1-based i, j).
 
-    A draw with i > j is evaluated as (j, i) at swapped times, since cov_pair(i,
-    j, s, t) is cov_pair(j, i, t, s) bit for bit.  Each regime's formula runs
-    once, over the (D, 9) times of its D draws with (D, 1) coefficient columns.
-    A value that is not finite raises cov_pair's ValueError for the first such
-    draw.
+    stacks holds, for each p, the draws with p components and their
+    exponents, Gram products and scales; _pair_coeffs runs once for each p
+    and regime.
     """
-    s_pts = np.array([[s, lam * s, s + tt, s + tt, tt, tt, 0.0, s, t] for _, _, s, t, tt, lam, *_ in draws])
-    t_pts = np.array([[t, lam * t, t + tt, tt, t + tt, tt, t, 0.0, s] for _, _, s, t, tt, lam, *_ in draws])
-    swapped = np.array([[i > j] for i, j, *_ in draws])
-    s_up, t_up = np.where(swapped, t_pts, s_pts), np.where(swapped, s_pts, t_pts)
-    values = np.empty_like(s_pts)
-    for formula in (cov_same, _cov_critical, _cov_general):
-        rows = [k for k, (f, _) in enumerate(pairs) if f is formula]
-        if rows:
-            coeffs = np.array([pairs[k][1] for k in rows]).T[:, :, None]
-            values[rows] = formula(*coeffs, s_up[rows], t_up[rows])
+    critical = np.zeros(i.size, dtype=bool)
+    cols = np.zeros((7, i.size))  # h_a, h_b, sigma_a, sigma_b, c_ab, c_ba, f_ab
+    r = np.ones(i.size)
+    for ks, h, gram, sigma in stacks:
+        a, b = np.minimum(i[ks], j[ks]) - 1, np.maximum(i[ks], j[ks]) - 1
+        d = np.arange(ks.size)
+        cols[:4, ks] = h[d, a], h[d, b], sigma[d, a], sigma[d, b]
+        critical[ks] = (a != b) & is_critical(h[d, a] + h[d, b])
+        for rows, regime in ((critical[ks], True), ((a != b) & ~critical[ks], False)):
+            if rows.any():
+                a_, b_, d_ = a[rows], b[rows], d[rows]
+                c_ab, c_ba, f_ab = _pair_coeffs(
+                    h[d_, a_], h[d_, b_], gram[:, d_, a_, b_], gram[:, d_, b_, a_], sigma[d_, a_] * sigma[d_, b_], regime
+                )
+                cols[4, ks[rows]], cols[5, ks[rows]], cols[6, ks[rows]] = c_ab, c_ba, f_ab
+                r[ks[rows]] = (c_ab + c_ba) / 2.0
+    return critical, tuple(cols), r
+
+
+def _cov_rows(i: np.ndarray, j: np.ndarray, critical: np.ndarray, coeffs: tuple, s: np.ndarray, t: np.ndarray):
+    """cov_pair(model_k, i_k, j_k, s_k, t_k) of every row k, each row with its own model.
+
+    i and j are (R,) 1-based components, s and t (R, n) times.  critical and
+    coeffs = (H_a, H_b, sigma_a, sigma_b, c_ab, c_ba, f_ab) are (R,) columns of
+    the pair (a, b) = (min, max) of each row; a row with i > j is evaluated as
+    (j, i) at swapped times, since cov_pair(i, j, s, t) is cov_pair(j, i, t, s)
+    bit for bit.  Each regime's formula runs once over its rows, with the
+    coefficients as (R, 1) columns.  A value that is not finite raises
+    cov_pair's ValueError for the first such row.
+    """
+    h_a, h_b, sigma_a, sigma_b, c_ab, c_ba, f_ab = coeffs
+    swapped = (i > j)[:, None]
+    s_up, t_up = np.where(swapped, t, s), np.where(swapped, s, t)
+    same = i == j
+    values = np.empty(s_up.shape)
+    for rows, formula, args in (
+        (same, cov_same, (h_a, sigma_a)),
+        (~same & critical, _cov_critical, (sigma_a, sigma_b, c_ab, f_ab)),
+        (~same & ~critical, _cov_general, (h_a, h_b, sigma_a, sigma_b, c_ab, c_ba)),
+    ):
+        if rows.any():
+            values[rows] = formula(*(col[rows, None] for col in args), s_up[rows], t_up[rows])
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
-        i, j = draws[k][:2]
-        _raise_not_finite(min(i, j), max(i, j), s_up[k], t_up[k], values[k])
+        a, b = sorted((int(i[k]), int(j[k])))
+        _raise_not_finite(a, b, s_up[k], t_up[k], values[k])
     return values
 
 
+def _model_coeffs(model: CovarianceModel, i: np.ndarray, j: np.ndarray) -> tuple:
+    """The critical mask and the coefficient columns that _cov_rows takes, for
+    rows (i, j) (1-based) of one model."""
+    a, b = np.minimum(i, j) - 1, np.maximum(i, j) - 1
+    h = np.array(model.hurst.h)
+    return model.critical[a, b], (h[a], h[b], model.sigma[a], model.sigma[b], model.c[a, b], model.c[b, a], model.f[a, b])
+
+
 def suite_prop31(seed: int, n_models: int = 12, n_times: int = 6) -> list[dict]:
-    """Closed-form covariance vs direct kernel assembly, plus variance consistency."""
+    """Closed-form covariance vs direct kernel assembly, plus variance consistency.
+
+    The pairs (i, j) of each model are rows in (i, j) order, their points
+    drawn in one call (the stream of one call per pair).  After all draws,
+    one closed-form pass and one kernel-assembly pass cover the rows of every
+    model; the assembly has the point (1, 1) appended to each row for the
+    variances.
+    """
     rng = np.random.default_rng(seed)
-    worst_pair = 0.0
-    worst_var = 0.0
+    models = []  # the rows of each model: (i, j) 1-based, the columns of both routes, s, t
+    sigmas = []
     for k in range(n_models):
         p = 2 + k % 2
         # every fifth model is causal-only (A- = 0)
         a_minus_scale = 0.0 if k % 5 == 0 else float(rng.uniform(0.3, 1.5))
         m = random_mixing(rng, p, critical_pair=(k % 2 == 0), a_minus_scale=a_minus_scale)
-        model = coeffs_from_mixing(m)
-        for i in range(1, p + 1):
-            var = sigma_from_mixing(m, i) ** 2
-            ref = assemble_via_kernels(m, i, i, 1.0, 1.0)
-            worst_var = _fold(worst_var, abs(var - ref) / abs(ref))
-            for j in range(1, p + 1):
-                s, t = rng.uniform(-3, 3, size=(n_times, 2)).T
-                direct = cov_pair(model, i, j, s, t)
-                via = assemble_via_kernels(m, i, j, s, t)
-                worst_pair = _fold(worst_pair, *(np.abs(direct - via) / np.maximum(1.0, np.abs(via))).tolist())
+        i, j = np.indices((p, p)).reshape(2, -1)
+        critical, coeffs = _model_coeffs(coeffs_from_mixing(m), i + 1, j + 1)
+        h = np.array(m.hurst.h)
+        s, t = np.moveaxis(rng.uniform(-3, 3, size=(p * p, n_times, 2)), -1, 0)
+        models.append(
+            (i + 1, j + 1, critical, *coeffs, h[i], h[j], m.app[i, j], m.apm[i, j], m.apm[j, i], m.amm[i, j], s, t)
+        )
+        sigmas += m.sigma.tolist()
+    i, j, critical, *cov_cols, h_i, h_j, app, apm_ij, apm_ji, amm, s, t = (np.concatenate(c) for c in zip(*models))
+    direct = _cov_rows(i, j, critical, tuple(cov_cols), s, t)
+    one = np.ones((s.shape[0], 1))
+    via = _assemble_rows(h_i, h_j, (app, apm_ij, apm_ji, amm), np.hstack([s, one]), np.hstack([t, one]))
+    worst_var = 0.0
+    for sigma, ref in zip(sigmas, via[i == j, -1].tolist()):
+        worst_var = _fold(worst_var, abs(sigma**2 - ref) / abs(ref))
+    via = via[:, :-1]
+    worst_pair = _fold(0.0, *(np.abs(direct - via) / np.maximum(1.0, np.abs(via))).ravel().tolist())
     return [
         _record("prop31/closed_form_vs_kernel_assembly", worst_pair, 1e-10),
         _record("prop31/variance_vs_kernel_assembly", worst_var, 1e-12),

@@ -305,11 +305,22 @@ def test_regime_formulas_on_columns_equal_cov_pair_bit_for_bit(seed, p, critical
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3]), critical_pair=st.booleans())
 def test_pair_coeffs_are_the_entries_of_coeffs_from_mixing(seed, p, critical_pair):
+    # on columns, as the theorem1 suite calls it, each regime's pairs get the
+    # bits that coeffs_from_mixing gives them one pair at a time
     m = random_mixing(np.random.default_rng(seed), p, critical_pair=critical_pair)
     model = vfbm.coeffs_from_mixing(m)
-    for a in range(p):
-        for b in range(a + 1, p):
-            assert _pair_coeffs(m, a, b) == (model.c[a, b], model.c[b, a], model.f[a, b])
+    a, b = np.triu_indices(p, 1)
+    h = np.array(m.hurst.h)
+    gram = np.array([m.app, m.amm, m.apm])
+    for regime in (True, False):
+        rows = m.hurst.critical[a, b] == regime
+        if rows.any():
+            i, j = a[rows], b[rows]
+            c_ij, c_ji, f_ij = _pair_coeffs(
+                h[i], h[j], gram[:, i, j], gram[:, j, i], m.sigma[i] * m.sigma[j], regime
+            )
+            assert np.array_equal(c_ij, model.c[i, j]) and np.array_equal(c_ji, model.c[j, i])
+            assert np.array_equal(np.broadcast_to(f_ij, i.shape), model.f[i, j])
 
 
 def test_cov_same_on_a_column_keeps_the_square_of_its_float():

@@ -1,9 +1,11 @@
 """Elementary kernel covariances: closed forms vs the quadrature oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
-from vfbm import KernelKind, kernel_cov, quadrature_kernel_oracle
+from vfbm import KernelKind, kernel_cov, kernels, quadrature_kernel_oracle
 from vfbm.errors import NoConvergenceError
 
 # 40-digit quadrature references for the closed forms, frozen:
@@ -112,6 +114,93 @@ def test_oracle_budget_exhaustion():
         quadrature_kernel_oracle(KernelKind.PP, 0.3, 0.6, 1.0, 2.0, tol=0.0)
     with pytest.raises(ValueError):  # before any evaluation, not after the whole budget
         quadrature_kernel_oracle(KernelKind.PP, 0.3, 0.6, 1.0, 2.0, tol=float("nan"))
+
+
+@pytest.mark.parametrize("max_evals", [0, -5, 2.5, True, False, None, "100", 10.0])
+def test_oracle_rejects_a_budget_that_is_not_a_positive_integer(monkeypatch, max_evals):
+    def no_evaluation(*args):
+        raise AssertionError("the integrand was evaluated")
+
+    monkeypatch.setattr(kernels, "kernel_factor", no_evaluation)
+    with pytest.raises(ValueError, match="max_evals"):
+        quadrature_kernel_oracle(KernelKind.PP, 0.3, 0.6, 1.0, 2.0, max_evals=max_evals)
+
+
+def _reference_oracle(kind, h_i, h_j, s, t, tol):
+    """quadrature_kernel_oracle's pieces integrated one panel at a time by a
+    depth-first refinement that splits the right half first; returns the value
+    and the deepest level refined."""
+    g, pieces = kernels._oracle_pieces(kind, h_i, h_j, s, t)
+    unit_tol = tol / max(1, len(pieces))
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    deepest = 0
+
+    def panel(fn, a, b):
+        half = 0.5 * (b - a)
+        return half * float(np.dot(weights, fn(0.5 * (a + b) + half * nodes)))
+
+    def adaptive(fn):
+        nonlocal deepest
+        total = 0.0
+        stack = [(0.0, 1.0, panel(fn, 0.0, 1.0), 0)]
+        while stack:
+            a, b, whole, depth = stack.pop()
+            deepest = max(deepest, depth)
+            mid = 0.5 * (a + b)
+            left, right = panel(fn, a, mid), panel(fn, mid, b)
+            err = abs(left + right - whole)
+            if err <= unit_tol * (b - a) or depth >= 60:
+                assert err <= unit_tol * (b - a)
+                total += left + right
+            else:
+                stack.append((a, mid, left, depth + 1))
+                stack.append((mid, b, right, depth + 1))
+        return total
+
+    def tail_of(edge):
+        def tail(u):
+            safe = np.where(u > 0.0, u, 1.0)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                vals = g(edge / safe) * (abs(edge) / safe**2)
+            return np.where((u > 0.0) & np.isfinite(vals), vals, 0.0)
+
+        return tail
+
+    def piece(f, anchor, length, q):
+        if length == 0.0:
+            return 0.0
+        scale = abs(length) * q
+
+        def transformed(v):
+            vq = v ** (q - 1) if q > 1 else np.ones_like(v)
+            vals = f(anchor + length * v**q) * (scale * vq)
+            return np.where(np.isfinite(vals), vals, 0.0)
+
+        return adaptive(transformed)
+
+    total = 0.0
+    for anchor, length, q, edge in pieces:
+        total += piece(g if math.isnan(edge) else tail_of(edge), anchor, length, q)
+    return total, deepest
+
+
+@pytest.mark.parametrize(
+    "kind,h_i,h_j,s,t,tol",
+    [
+        (KernelKind.PP, 0.3, 0.6, 1.0, 2.0, 1e-10),  # endpoint-singular pieces and a left tail
+        (KernelKind.PP, 0.45, 0.25, -1.2, -0.4, 1e-11),  # a left tail
+        (KernelKind.MM, 0.4, 0.4, 1.0, 1.0, 1e-10),  # a right tail
+        (KernelKind.PP, 0.3, 0.7, 1.0, 2.0, 1e-10),  # critical, a left tail
+        (KernelKind.PM, 0.15, 0.7, 1.0, -1.5, 1e-10),  # bounded, singular at both ends
+        (KernelKind.PM, 0.3, 0.6, 1.0, 2.0, 1e-11),
+        (KernelKind.MP, 0.1, 0.2, 1.4, 1.4, 1e-11),
+    ],
+)
+def test_oracle_equals_the_panel_by_panel_refinement(kind, h_i, h_j, s, t, tol):
+    # tolerances near the rounding floor, so that the panels refine many levels
+    expected, deepest = _reference_oracle(kind, h_i, h_j, s, t, tol)
+    assert deepest >= 3
+    assert quadrature_kernel_oracle(kind, h_i, h_j, s, t, tol=tol) == expected
 
 
 def test_continuity_across_critical_boundary():
