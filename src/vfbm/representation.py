@@ -27,7 +27,10 @@ one-pair call.
 by c_ij = 2 c~_ij phi_ij / (sigma_i sigma_j).  For causal models (A- = 0)
 the factorization C~ = cos(H pi) A+A+* is recoverable iff
 cos(H pi)^(-1) C~ is symmetric positive definite; ``causal_factorize``
-performs it by Cholesky.
+performs it by Cholesky.  Both run on stacks of models as well, through
+the private ``_tilde_c`` and ``_causal_factor`` that they call; a stacked
+matrix gets the bits of the one-model call, and a stacked factorization
+raises the error of its first infeasible matrix.
 """
 
 from __future__ import annotations
@@ -114,9 +117,24 @@ def _pair_coeffs(h_i, h_j, gram_ij, gram_ji, ss, critical: bool) -> tuple:
 
 def tilde_c(m: MixingMatrices) -> np.ndarray:
     """The p x p amplitude matrix C~ of the displayed quadratic form in (A+, A-)."""
-    cos_h = np.diag(np.cos(np.pi * np.asarray(m.hurst.h)))
-    sin_h = np.diag(np.sin(np.pi * np.asarray(m.hurst.h)))
-    return cos_h @ m.app + m.amm @ cos_h - sin_h @ m.apm @ cos_h - cos_h @ m.apm @ sin_h
+    return _tilde_c(np.asarray(m.hurst.h), m.app, m.amm, m.apm)
+
+
+def _tilde_c(h: np.ndarray, app: np.ndarray, amm: np.ndarray, apm: np.ndarray) -> np.ndarray:
+    """C~ of mixings stacked along leading axes: h is (..., p), the Gram
+    products (..., p, p).  The diagonal sine and cosine matrices are
+    multiplied in as matrices, so every entry has the bits of one mixing's
+    products."""
+    cos_h, sin_h = _diag(np.cos(np.pi * h)), _diag(np.sin(np.pi * h))
+    return cos_h @ app + amm @ cos_h - sin_h @ apm @ cos_h - cos_h @ apm @ sin_h
+
+
+def _diag(x: np.ndarray) -> np.ndarray:
+    """The diagonal matrices of x's last axis, stacked along its leading axes (np.diag of each row)."""
+    d = np.zeros(x.shape + x.shape[-1:])
+    k = np.arange(x.shape[-1])
+    d[..., k, k] = x
+    return d
 
 
 def causal_factorize(c_tilde: np.ndarray, h: HurstVector) -> MixingMatrices:
@@ -134,24 +152,42 @@ def causal_factorize(c_tilde: np.ndarray, h: HurstVector) -> MixingMatrices:
     ct = np.asarray(c_tilde, dtype=float)
     if ct.shape != (h.p, h.p):
         raise ValueError(f"amplitude matrix has shape {ct.shape}, expected ({h.p}, {h.p})")
-    if not np.all(np.isfinite(ct)):
-        raise ValueError("amplitude matrix has NaN or infinite entries")
-    cos_vals = np.cos(np.pi * np.asarray(h.h))
-    for idx, c in enumerate(cos_vals, start=1):
-        if abs(c) < 1e-12:
-            raise SingularCosineError(idx)
-    m = ct / cos_vals[:, None]
-    norm = float(np.max(np.abs(m)))
-    if norm == 0.0:
-        raise InfeasibleFactorizationError("NotPD", "amplitude matrix is zero")
-    if float(np.max(np.abs(m - m.T))) > _SYMMETRY_TOL * norm:
-        raise InfeasibleFactorizationError("NotSymmetric", f"asymmetry {float(np.max(np.abs(m - m.T))):.3e}")
-    sym = 0.5 * (m + m.T)
-    eigs = np.linalg.eigvalsh(sym)
-    if eigs[0] <= _FACTOR_PD_TOL * max(1.0, float(eigs[-1])):
-        raise InfeasibleFactorizationError("NotPD", f"lambda_min = {float(eigs[0]):.3e}")
-    a_plus = np.linalg.cholesky(sym)
+    a_plus = _causal_factor(ct[None], np.asarray(h.h)[None])[0]
     return MixingMatrices(a_plus=a_plus, a_minus=np.zeros_like(a_plus), hurst=h)
+
+
+def _causal_factor(ct: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The Cholesky factors A+ of M = cos(H pi)^(-1) C~ for a stack of
+    amplitude matrices ct, (N, p, p), with exponents h, (N, p).
+
+    Each matrix is held to causal_factorize's rules in turn, and the error
+    raised is that of the first rule broken by the first matrix in the stack
+    that breaks one.
+    """
+    cos_h = np.cos(np.pi * h)
+    singular = np.abs(cos_h) < 1e-12
+    # a matrix with an entry that is not finite, or a singular cosine, gives infinities or NaN here
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = ct / cos_h[:, :, None]
+        norm = np.abs(m).max(axis=(1, 2))
+        asymmetry = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
+        sym = 0.5 * (m + m.swapaxes(1, 2))
+    broken = [~np.isfinite(ct).all(axis=(1, 2)), singular.any(axis=1), norm == 0.0, asymmetry > _SYMMETRY_TOL * norm]
+    eigs = np.full(h.shape, np.nan)  # only for the matrices that keep the rules so far
+    pending = ~np.any(broken, axis=0)
+    eigs[pending] = np.linalg.eigvalsh(sym[pending])
+    broken.append(eigs[:, 0] <= _FACTOR_PD_TOL * np.maximum(1.0, eigs[:, -1]))
+    if np.any(broken):
+        k = int(np.argmax(np.any(broken, axis=0)))
+        errors = (
+            ValueError("amplitude matrix has NaN or infinite entries"),
+            SingularCosineError(int(np.argmax(singular[k])) + 1),
+            InfeasibleFactorizationError("NotPD", "amplitude matrix is zero"),
+            InfeasibleFactorizationError("NotSymmetric", f"asymmetry {float(asymmetry[k]):.3e}"),
+            InfeasibleFactorizationError("NotPD", f"lambda_min = {float(eigs[k, 0]):.3e}"),
+        )
+        raise errors[int(np.argmax([rule[k] for rule in broken]))]
+    return np.linalg.cholesky(sym)
 
 
 def assemble_via_kernels(m: MixingMatrices, i: int, j: int, s, t):

@@ -78,12 +78,12 @@ _GRID_ULPS = 4
 
 
 def check_seed(seed: int) -> int:
-    """The seed as an int; ValueError unless it is an integer in [0, 2**64).
+    """The seed as an int; ValueError unless it is an integer (not a bool) in [0, 2**64).
 
     This is the range every seeded routine of the package accepts, passed
     as is to ``np.random.default_rng``.
     """
-    if isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64:
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and 0 <= seed < 2**64:
         return int(seed)
     raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 

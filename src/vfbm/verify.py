@@ -5,22 +5,36 @@ suitable for JSON emission; the CLI ``verify`` subcommand is a thin wrapper.
 These suites are the one definition of each check: the acceptance tests
 run them at their own seeds and sizes.
 
-The closed forms are evaluated in batches, by ``_cov_rows``: each row is
-one (i, j) query of its own model at its own times, and each regime's
-formula (same component, critical, general) runs once over its rows, with
-the coefficients as columns.  ``theorem1`` makes all its draws first, in
-the order of the RNG stream, recording only the raw exponents and mixing
-matrices; one stacked Gram/sigma pass per p (``_gram_and_sigma``, as
-``MixingMatrices`` computes them) and one ``_pair_coeffs`` pass per p and
-regime give the coefficients, and the statistics are folded in draw order.
-A draw whose mixing ``random_mixing`` would reject as degenerate makes the
-suite replay its draws from the seed, discarding that mixing.  ``prop31``
-draws the points of all pairs of a model in one call and evaluates the pairs
-of all its models in one closed-form and one kernel-assembly pass.  An array ``**`` may round
-differently from the scalar one (a vector ``pow`` can differ by 1 ulp), so
-a statistic may differ from a point-by-point evaluation at rounding level.
-Every worst value is folded with ``_fold``, which keeps a NaN, so a NaN
-statistic fails its check.
+No suite builds a ``MixingMatrices`` or a ``CovarianceModel`` per model.
+Each makes all its draws first, in the order of the RNG stream that
+``random_mixing`` and ``random_hurst`` would consume, recording only the raw
+exponents and mixing matrices; one stacked ``_gram_and_sigma`` pass per
+number of components p (``_gram_stacks``, the arithmetic of
+``MixingMatrices``) gives every model's Gram products and scales.  In
+``theorem1``, ``prop31`` and ``tildec`` a mixing that ``random_mixing``
+would reject as degenerate makes ``_replay`` make the draws again from the
+seed with that mixing discarded.  The coefficients come from
+``_pair_coeffs`` on columns of pairs, once per regime, and the rest runs on
+the stacks through the private helpers that the public functions call:
+
+* ``theorem1`` and ``prop31`` evaluate the closed forms by ``_cov_rows``:
+  each row is one (i, j) query of its own model at its own times, and each
+  regime's formula (same component, critical, general) runs once over its
+  rows, with the coefficients as columns.  ``prop31`` assembles the same
+  rows from the kernels in one ``_assemble_rows`` pass.
+* ``tildec`` builds every model's C~ with ``_tilde_c`` (as ``tilde_c``)
+  and phi entry by entry with ``_each``.
+* ``factorization`` builds C~, factors it with ``_causal_factor`` (as
+  ``causal_factorize``, whose error it raises for the first infeasible
+  model in draw order) and rebuilds C~ from the factor.
+
+Every product, sine, cosine, Beta and phi has the bits of the one-model
+call, so the reports are those of model-by-model code; only an array
+``**`` may round differently from the scalar one (a vector ``pow`` can
+differ by 1 ulp), so a closed-form statistic may differ from a
+point-by-point evaluation at rounding level.  Every worst value is folded
+with ``_fold``, which keeps a NaN, so a NaN statistic fails its check; it
+is a maximum, so the order of the fold does not matter.
 """
 
 from __future__ import annotations
@@ -28,12 +42,13 @@ from __future__ import annotations
 import numpy as np
 
 from .covariance import _cov_critical, _cov_general, _raise_not_finite, cov_matrix, cov_same
-from .errors import DegenerateComponentError, InfeasibleFactorizationError
+from .errors import DegenerateComponentError, InfeasibleFactorizationError, SingularCosineError
 from .kernels import KernelKind, kernel_cov, quadrature_kernel_oracle
-from .model import CovarianceModel, HurstVector, MixingMatrices, TimeGrid, _gram_and_sigma, validate_hurst
-from .representation import _assemble_rows, _pair_coeffs, causal_factorize, coeffs_from_mixing, tilde_c
+from .model import HurstVector, MixingMatrices, TimeGrid, _gram_and_sigma, validate_hurst
+from .representation import (_assemble_rows, _causal_factor, _pair_coeffs, _tilde_c, causal_factorize,
+                             coeffs_from_mixing)
 from .simulate import McConfig, check_seed, mc_integral_oracle
-from .special import is_critical, phi
+from .special import _each, is_critical, phi
 
 __all__ = ["random_hurst", "random_mixing", "run_suite", "SUITES"]
 
@@ -100,27 +115,98 @@ def _record(check: str, statistic: float, tolerance: float) -> dict:
     }
 
 
+def _draw_mixing(
+    rng: np.random.Generator, p: int, critical_pair: bool, a_minus_scale: float, discard: int = 0
+) -> tuple:
+    """random_mixing's draws, unvalidated: the exponents, then (A+, A-) pairs,
+    of which the first ``discard`` are dropped as random_mixing drops
+    degenerate ones."""
+    h = _draw_hurst(rng, p, critical_pair)
+    for _ in range(discard + 1):
+        a_plus = rng.normal(size=(p, p))
+        a_minus = a_minus_scale * rng.normal(size=(p, p))
+    return h, a_plus, a_minus
+
+
+def _gram_stacks(p: list, mixings: list) -> list:
+    """Gram products and scales of models drawn in order, in one
+    _gram_and_sigma pass per number of components.
+
+    p holds each model's number of components and mixings its (H, A+, A-).
+    Returns one (ks, H, gram, sigma) per number of components: ks the
+    models that have it, in order, H their exponents (D, p), gram their
+    products (3, D, p, p) and sigma their scales (D, p).  A degenerate
+    mixing raises the DegenerateComponentError of the first one in draw
+    order, with ``at`` = (its model,).
+    """
+    stacks, degenerate = [], []
+    for q in sorted(set(p)):
+        ks = [k for k, p_k in enumerate(p) if p_k == q]
+        h, a_plus, a_minus = (np.array(x) for x in zip(*(mixings[k] for k in ks)))
+        try:
+            stacks.append((np.array(ks), h, *_gram_and_sigma(a_plus, a_minus, h)))
+        except DegenerateComponentError as exc:
+            degenerate.append(DegenerateComponentError(exc.index, exc.variance, (ks[exc.at[0]],)))
+    if degenerate:
+        raise min(degenerate, key=lambda exc: exc.at)
+    return stacks
+
+
+def _replay(draw) -> tuple:
+    """(stacks, *rest) for the draws of draw(rejected) = (p, mixings, *rest).
+
+    draw makes a suite's draws from its seed, dropping at model k the first
+    rejected[k] mixings it draws.  A degenerate mixing is dropped in this
+    way and the draws are made again, so each model gets the mixing that
+    random_mixing would return; the draws before it are unchanged.
+    """
+    rejected: dict[int, int] = {}
+    while True:
+        p, mixings, *rest = draw(rejected)
+        try:
+            return (_gram_stacks(p, mixings), *rest)
+        except DegenerateComponentError as exc:
+            k = exc.at[0]
+            rejected[k] = rejected.get(k, 0) + 1
+
+
+def _model_table(stacks: list, n: int) -> tuple:
+    """The exponents (n, P), Gram products (3, n, P, P) and scales (n, P) of
+    the stacks' n models by model, zero-padded to the largest p, P."""
+    size = max((h.shape[1] for _, h, _, _ in stacks), default=0)
+    h, sigma = np.zeros((2, n, size))
+    gram = np.zeros((3, n, size, size))
+    for ks, h_q, gram_q, sigma_q in stacks:
+        q = h_q.shape[1]
+        h[ks, :q], gram[:, ks, :q, :q], sigma[ks, :q] = h_q, gram_q, sigma_q
+    return h, gram, sigma
+
+
+def _pair_columns(table: tuple, model: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple:
+    """The critical mask, the coefficient columns that _cov_rows takes, and R's
+    entry r_ij, of rows (model, i, j): the pair (i, j) (1-based) of a model
+    of table = _model_table(...).  _pair_coeffs runs once per regime."""
+    h, gram, sigma = table
+    a, b = np.minimum(i, j) - 1, np.maximum(i, j) - 1
+    h_a, h_b, sigma_a, sigma_b = h[model, a], h[model, b], sigma[model, a], sigma[model, b]
+    critical = (a != b) & is_critical(h_a + h_b)
+    c_ab, c_ba, f_ab = np.zeros((3, i.size))
+    for rows, regime in ((critical, True), ((a != b) & ~critical, False)):
+        if rows.any():
+            m, a_, b_ = model[rows], a[rows], b[rows]
+            c_ab[rows], c_ba[rows], f_ab[rows] = _pair_coeffs(
+                h_a[rows], h_b[rows], gram[:, m, a_, b_], gram[:, m, b_, a_], sigma_a[rows] * sigma_b[rows], regime
+            )
+    r = np.where(a != b, (c_ab + c_ba) / 2.0, 1.0)
+    return critical, (h_a, h_b, sigma_a, sigma_b, c_ab, c_ba, f_ab), r
+
+
 def suite_theorem1(seed: int, n_draws: int = 400) -> list[dict]:
     """Self-similarity, stationary increments, symmetrization, zero boundary."""
-    rejected: dict[int, int] = {}  # draw -> degenerate mixings random_mixing discards there
-    while True:
-        p, h, a_plus, a_minus, i, j, times = _theorem1_draws(seed, n_draws, rejected)
-        stacks, degenerate = [], []
-        for q in (2, 3):
-            ks = np.flatnonzero(p == q)
-            if ks.size:
-                hq = h[ks, :q]
-                try:
-                    stacks.append((ks, hq, *_gram_and_sigma(a_plus[ks, :q, :q], a_minus[ks, :q, :q], hq)))
-                except DegenerateComponentError as exc:
-                    degenerate.append(int(ks[exc.at[0]]))
-        if not degenerate:
-            break
-        # replay from the seed: the draws before the first degenerate one are unchanged
-        k = min(degenerate)
-        rejected[k] = rejected.get(k, 0) + 1
-
-    critical, coeffs, r = _theorem1_coeffs(i, j, stacks)
+    stacks, ij, times = _replay(lambda rejected: _theorem1_draws(seed, n_draws, rejected))
+    i, j = np.array(ij, dtype=int).reshape(-1, 2).T
+    times = np.array(times).reshape(-1, 4)
+    critical, coeffs, r = _pair_columns(_model_table(stacks, n_draws), np.arange(n_draws), i, j)
     h_a, h_b, sigma_a, sigma_b = coeffs[:4]
     kappa2 = sigma_a * sigma_b * r
     s, t, tt, lam = times.T
@@ -154,54 +240,18 @@ def suite_theorem1(seed: int, n_draws: int = 400) -> list[dict]:
 
 
 def _theorem1_draws(seed: int, n_draws: int, rejected: dict[int, int]) -> tuple:
-    """The draws of suite_theorem1 in the order of its RNG stream, as arrays over
-    the draws: p, H, A+, A- (padded to 3 components), i, j and (s, t, T,
-    lambda).  At draw k the first rejected[k] mixings drawn are discarded, as
-    random_mixing discards degenerate ones."""
+    """The draws of suite_theorem1 in the order of its RNG stream, for _replay:
+    p, the mixings, (i, j) and (s, t, T, lambda) of each draw."""
     rng = np.random.default_rng(seed)
-    p = np.empty(n_draws, dtype=int)
-    h = np.zeros((n_draws, 3))
-    a_plus, a_minus = np.zeros((2, n_draws, 3, 3))
-    ij = np.empty((n_draws, 2), dtype=int)
-    times = np.empty((n_draws, 4))
+    p, mixings, ij, times = [], [], [], []
     for k in range(n_draws):
-        q = p[k] = int(rng.integers(2, 4))
+        q = int(rng.integers(2, 4))
         a_minus_scale = float(rng.uniform(0, 1.5))
-        h[k, :q] = _draw_hurst(rng, q, critical_pair=(k % 3 == 0))
-        for _ in range(rejected.get(k, 0) + 1):
-            a_plus[k, :q, :q] = rng.normal(size=(q, q))
-            a_minus[k, :q, :q] = a_minus_scale * rng.normal(size=(q, q))
-        ij[k] = rng.integers(1, q + 1, size=2)
-        times[k, :3] = rng.uniform(-3, 3, size=3)
-        times[k, 3] = rng.uniform(0.2, 5.0)
-    return p, h, a_plus, a_minus, ij[:, 0], ij[:, 1], times
-
-
-def _theorem1_coeffs(i: np.ndarray, j: np.ndarray, stacks: dict) -> tuple:
-    """The critical mask, the coefficient columns that _cov_rows takes, and R's
-    entry r_ij, of each draw's queried pair (1-based i, j).
-
-    stacks holds, for each p, the draws with p components and their
-    exponents, Gram products and scales; _pair_coeffs runs once for each p
-    and regime.
-    """
-    critical = np.zeros(i.size, dtype=bool)
-    cols = np.zeros((7, i.size))  # h_a, h_b, sigma_a, sigma_b, c_ab, c_ba, f_ab
-    r = np.ones(i.size)
-    for ks, h, gram, sigma in stacks:
-        a, b = np.minimum(i[ks], j[ks]) - 1, np.maximum(i[ks], j[ks]) - 1
-        d = np.arange(ks.size)
-        cols[:4, ks] = h[d, a], h[d, b], sigma[d, a], sigma[d, b]
-        critical[ks] = (a != b) & is_critical(h[d, a] + h[d, b])
-        for rows, regime in ((critical[ks], True), ((a != b) & ~critical[ks], False)):
-            if rows.any():
-                a_, b_, d_ = a[rows], b[rows], d[rows]
-                c_ab, c_ba, f_ab = _pair_coeffs(
-                    h[d_, a_], h[d_, b_], gram[:, d_, a_, b_], gram[:, d_, b_, a_], sigma[d_, a_] * sigma[d_, b_], regime
-                )
-                cols[4, ks[rows]], cols[5, ks[rows]], cols[6, ks[rows]] = c_ab, c_ba, f_ab
-                r[ks[rows]] = (c_ab + c_ba) / 2.0
-    return critical, tuple(cols), r
+        p.append(q)
+        mixings.append(_draw_mixing(rng, q, k % 3 == 0, a_minus_scale, rejected.get(k, 0)))
+        ij.append(rng.integers(1, q + 1, size=2).tolist())
+        times.append([*rng.uniform(-3, 3, size=3).tolist(), float(rng.uniform(0.2, 5.0))])
+    return p, mixings, ij, times
 
 
 def _cov_rows(i: np.ndarray, j: np.ndarray, critical: np.ndarray, coeffs: tuple, s: np.ndarray, t: np.ndarray):
@@ -235,14 +285,6 @@ def _cov_rows(i: np.ndarray, j: np.ndarray, critical: np.ndarray, coeffs: tuple,
     return values
 
 
-def _model_coeffs(model: CovarianceModel, i: np.ndarray, j: np.ndarray) -> tuple:
-    """The critical mask and the coefficient columns that _cov_rows takes, for
-    rows (i, j) (1-based) of one model."""
-    a, b = np.minimum(i, j) - 1, np.maximum(i, j) - 1
-    h = np.array(model.hurst.h)
-    return model.critical[a, b], (h[a], h[b], model.sigma[a], model.sigma[b], model.c[a, b], model.c[b, a], model.f[a, b])
-
-
 def suite_prop31(seed: int, n_models: int = 12, n_times: int = 6) -> list[dict]:
     """Closed-form covariance vs direct kernel assembly, plus variance consistency.
 
@@ -252,28 +294,20 @@ def suite_prop31(seed: int, n_models: int = 12, n_times: int = 6) -> list[dict]:
     model; the assembly has the point (1, 1) appended to each row for the
     variances.
     """
-    rng = np.random.default_rng(seed)
-    models = []  # the rows of each model: (i, j) 1-based, the columns of both routes, s, t
-    sigmas = []
-    for k in range(n_models):
-        p = 2 + k % 2
-        # every fifth model is causal-only (A- = 0)
-        a_minus_scale = 0.0 if k % 5 == 0 else float(rng.uniform(0.3, 1.5))
-        m = random_mixing(rng, p, critical_pair=(k % 2 == 0), a_minus_scale=a_minus_scale)
-        i, j = np.indices((p, p)).reshape(2, -1)
-        critical, coeffs = _model_coeffs(coeffs_from_mixing(m), i + 1, j + 1)
-        h = np.array(m.hurst.h)
-        s, t = np.moveaxis(rng.uniform(-3, 3, size=(p * p, n_times, 2)), -1, 0)
-        models.append(
-            (i + 1, j + 1, critical, *coeffs, h[i], h[j], m.app[i, j], m.apm[i, j], m.apm[j, i], m.amm[i, j], s, t)
-        )
-        sigmas += m.sigma.tolist()
-    i, j, critical, *cov_cols, h_i, h_j, app, apm_ij, apm_ji, amm, s, t = (np.concatenate(c) for c in zip(*models))
-    direct = _cov_rows(i, j, critical, tuple(cov_cols), s, t)
+    stacks, rows, points = _replay(lambda rejected: _prop31_draws(seed, n_models, n_times, rejected))
+    model, i, j = np.concatenate(rows, axis=1)
+    s, t = np.moveaxis(np.concatenate(points), -1, 0)
+    table = _model_table(stacks, n_models)
+    critical, coeffs, _ = _pair_columns(table, model, i, j)
+    direct = _cov_rows(i, j, critical, coeffs, s, t)
+    h, gram, _ = table
+    a, b = i - 1, j - 1
+    weights = (gram[0, model, a, b], gram[2, model, a, b], gram[2, model, b, a], gram[1, model, a, b])
     one = np.ones((s.shape[0], 1))
-    via = _assemble_rows(h_i, h_j, (app, apm_ij, apm_ji, amm), np.hstack([s, one]), np.hstack([t, one]))
+    via = _assemble_rows(h[model, a], h[model, b], weights, np.hstack([s, one]), np.hstack([t, one]))
+    same = i == j
     worst_var = 0.0
-    for sigma, ref in zip(sigmas, via[i == j, -1].tolist()):
+    for sigma, ref in zip(coeffs[2][same].tolist(), via[same, -1].tolist()):
         worst_var = _fold(worst_var, abs(sigma**2 - ref) / abs(ref))
     via = via[:, :-1]
     worst_pair = _fold(0.0, *(np.abs(direct - via) / np.maximum(1.0, np.abs(via))).ravel().tolist())
@@ -283,38 +317,83 @@ def suite_prop31(seed: int, n_models: int = 12, n_times: int = 6) -> list[dict]:
     ]
 
 
+def _prop31_draws(seed: int, n_models: int, n_times: int, rejected: dict[int, int]) -> tuple:
+    """The draws of suite_prop31 in the order of its RNG stream, for _replay:
+    p and the mixing of each model, its rows (model, i, j), 1-based, and
+    their points (p * p, n_times, (s, t))."""
+    rng = np.random.default_rng(seed)
+    p, mixings, rows, points = [], [], [], []
+    for k in range(n_models):
+        q = 2 + k % 2
+        # every fifth model is causal-only (A- = 0)
+        a_minus_scale = 0.0 if k % 5 == 0 else float(rng.uniform(0.3, 1.5))
+        p.append(q)
+        mixings.append(_draw_mixing(rng, q, k % 2 == 0, a_minus_scale, rejected.get(k, 0)))
+        rows.append(np.vstack([np.full(q * q, k), np.indices((q, q)).reshape(2, -1) + 1]))
+        points.append(rng.uniform(-3, 3, size=(q * q, n_times, 2)))
+    return p, mixings, rows, points
+
+
 def suite_tildec(seed: int, n_models: int = 20) -> list[dict]:
     """Amplitude identity c~_ij * 2 phi_ij = sigma_i sigma_j c_ij (general pairs)."""
-    rng = np.random.default_rng(seed)
+    (stacks,) = _replay(lambda rejected: _tildec_draws(seed, n_models, rejected))
     worst = 0.0
-    for _ in range(n_models):
-        p = int(rng.integers(2, 4))
-        m = random_mixing(rng, p, a_minus_scale=float(rng.uniform(0, 1.5)))
-        model = coeffs_from_mixing(m)
-        ct = tilde_c(m)
-        for i in range(1, p + 1):
-            for j in range(1, p + 1):
-                if i == j:
-                    continue
-                lhs = ct[i - 1, j - 1] * 2.0 * phi(model.hurst[i - 1], model.hurst[j - 1])
-                rhs = model.sigma[i - 1] * model.sigma[j - 1] * model.c[i - 1, j - 1]
-                worst = _fold(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    for _, h, gram, sigma in stacks:
+        ct = _tilde_c(h, *gram)
+        a, b = np.triu_indices(h.shape[1], 1)
+        c_ab, c_ba, _ = _pair_coeffs(
+            h[:, a], h[:, b], gram[:, :, a, b], gram[:, :, b, a], sigma[:, a] * sigma[:, b], False
+        )
+        # every ordered pair (i, j), i != j: c_ij is c_ab above the diagonal and c_ba below it
+        i, j, c = np.concatenate([a, b]), np.concatenate([b, a]), np.hstack([c_ab, c_ba])
+        lhs = ct[:, i, j] * 2.0 * _each(phi, h[:, i], h[:, j])
+        rhs = sigma[:, i] * sigma[:, j] * c
+        worst = _fold(worst, *(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))).ravel().tolist())
     return [_record("tildec/amplitude_identity", worst, 1e-10)]
 
 
-def suite_factorization(seed: int, n_models: int = 20) -> list[dict]:
-    """Roundtrip through causal_factorize and rejection of infeasible inputs."""
+def _tildec_draws(seed: int, n_models: int, rejected: dict[int, int]) -> tuple:
+    """The draws of suite_tildec in the order of its RNG stream, for _replay:
+    p and the mixing of each model."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    p, mixings = [], []
+    for k in range(n_models):
+        q = int(rng.integers(2, 4))
+        a_minus_scale = float(rng.uniform(0, 1.5))
+        p.append(q)
+        mixings.append(_draw_mixing(rng, q, False, a_minus_scale, rejected.get(k, 0)))
+    return p, mixings
+
+
+def suite_factorization(seed: int, n_models: int = 20) -> list[dict]:
+    """Roundtrip through causal_factorize and rejection of infeasible inputs.
+
+    Each model's C~ is factored and C~ is rebuilt from the factor, in one
+    stacked pass per number of components; an infeasible C~ raises the
+    error of the first such model in draw order, as causal_factorize would.
+    """
+    rng = np.random.default_rng(seed)
+    p, mixings = [], []
     for _ in range(n_models):
-        p = int(rng.integers(2, 4))
-        h = random_hurst(rng, p)
-        a_plus = rng.normal(size=(p, p)) + p * np.eye(p)  # keep it invertible
-        m0 = MixingMatrices(a_plus=a_plus, a_minus=np.zeros((p, p)), hurst=h)
-        ct = tilde_c(m0)
-        recovered = causal_factorize(ct, h)
-        ct2 = tilde_c(recovered)
-        worst = _fold(worst, float(np.max(np.abs(ct - ct2))) / max(1.0, float(np.max(np.abs(ct)))))
+        q = int(rng.integers(2, 4))
+        h = _draw_hurst(rng, q, critical_pair=False)
+        a_plus = rng.normal(size=(q, q)) + q * np.eye(q)  # keep it invertible
+        p.append(q)
+        mixings.append((h, a_plus, np.zeros((q, q))))
+    stacks = [(ks, h, _tilde_c(h, *gram)) for ks, h, gram, _ in _gram_stacks(p, mixings)]
+    try:
+        factors = [_causal_factor(ct, h) for _, h, ct in stacks]
+    except (ValueError, SingularCosineError, InfeasibleFactorizationError):
+        # the first infeasible model in draw order decides, as in a call per model
+        models = sorted((k, d, h, ct) for ks, h, ct in stacks for d, k in enumerate(ks.tolist()))
+        for _, d, h, ct in models:
+            _causal_factor(ct[d : d + 1], h[d : d + 1])
+        raise
+    worst = 0.0
+    for (_, h, ct), a_plus in zip(stacks, factors):
+        ct2 = _tilde_c(h, *_gram_and_sigma(a_plus, np.zeros_like(a_plus), h)[0])
+        gap = np.abs(ct - ct2).max(axis=(1, 2)) / np.maximum(1.0, np.abs(ct).max(axis=(1, 2)))
+        worst = _fold(worst, *gap.tolist())
     rejected = 0.0
     h = random_hurst(np.random.default_rng(seed + 1), 2)
     cos_h = np.cos(np.pi * np.asarray(h.h))

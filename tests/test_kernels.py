@@ -116,6 +116,23 @@ def test_oracle_budget_exhaustion():
         quadrature_kernel_oracle(KernelKind.PP, 0.3, 0.6, 1.0, 2.0, tol=float("nan"))
 
 
+# an exponent of 0.05 sits below random_hurst's range [0.08, 0.92], so no verify suite meets it
+_SMALL_EXPONENT_CONFIGS = [(KernelKind.PP, 0.05, 0.95, 1.0, 2.0), (KernelKind.PP, 0.05, 0.6, 1.0, 2.0)]
+
+
+@pytest.mark.xfail(strict=True, raises=NoConvergenceError, reason="the oracle's depth limit is reached at its "
+                   "default tol 1e-8 when an exponent is 0.05")
+@pytest.mark.parametrize("config", _SMALL_EXPONENT_CONFIGS, ids=["critical", "general"])
+def test_oracle_converges_at_its_default_tol_for_a_small_exponent(config):
+    assert abs(quadrature_kernel_oracle(*config) - kernel_cov(*config)) <= 1e-8
+
+
+@pytest.mark.parametrize("config", _SMALL_EXPONENT_CONFIGS, ids=["critical", "general"])
+def test_oracle_agrees_at_tol_1e6_for_a_small_exponent(config):
+    # the closed form is right there: only the default tolerance fails
+    assert abs(quadrature_kernel_oracle(*config, tol=1e-6) - kernel_cov(*config)) <= 1e-9
+
+
 @pytest.mark.parametrize("max_evals", [0, -5, 2.5, True, False, None, "100", 10.0])
 def test_oracle_rejects_a_budget_that_is_not_a_positive_integer(monkeypatch, max_evals):
     def no_evaluation(*args):

@@ -22,6 +22,7 @@ from vfbm.errors import (
     InfeasibleFactorizationError,
     SingularCosineError,
 )
+from vfbm.representation import _causal_factor
 
 SIGMA_SQ_H03 = 1.8750709111678687222  # B(0.8,0.8)/sin(0.3 pi), 40-digit reference
 
@@ -162,6 +163,34 @@ def test_causal_factorize_rejections():
     with pytest.raises(SingularCosineError) as exc:
         causal_factorize(np.eye(2), validate_hurst([0.5, 0.6]))
     assert exc.value.index == 1
+
+
+def test_a_stacked_factorization_raises_the_error_of_its_first_infeasible_matrix():
+    # the error causal_factorize raises for the first matrix of the stack that breaks a
+    # rule, and for that matrix the first rule it breaks
+    h = [0.3, 0.6]
+    cos_h = np.cos(np.pi * np.array(h))
+    good = cos_h[:, None] * np.array([[2.0, 0.5], [0.5, 1.0]])
+    not_pd = cos_h[:, None] * np.array([[1.0, 2.0], [2.0, 1.0]])
+    asymmetric = cos_h[:, None] * np.array([[1.0, 0.8], [0.1, 1.0]])
+    nan = np.full((2, 2), np.nan)
+    for stack, first in (
+        ([good, not_pd, asymmetric], not_pd),
+        ([good, asymmetric, not_pd], asymmetric),
+        ([good, nan, not_pd], nan),
+        ([good, np.zeros((2, 2)), nan], np.zeros((2, 2))),
+    ):
+        with pytest.raises((ValueError, InfeasibleFactorizationError)) as expected:
+            causal_factorize(first, validate_hurst(h))
+        with pytest.raises(type(expected.value)) as batched:
+            _causal_factor(np.array(stack), np.array([h] * 3))
+        assert str(batched.value) == str(expected.value)
+    # a singular cosine comes before the asymmetry of the same matrix
+    with pytest.raises(SingularCosineError) as exc:
+        _causal_factor(np.array([good, asymmetric]), np.array([h, [0.6, 0.5]]))
+    assert exc.value.index == 2
+    factors = _causal_factor(np.array([good, 3.0 * good]), np.array([h, h]))
+    assert np.array_equal(factors[1], causal_factorize(3.0 * good, validate_hurst(h)).a_plus)
 
 
 def test_assemble_via_kernels_simple():

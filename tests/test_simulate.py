@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import vfbm
 from vfbm import McConfig, TimeGrid, cholesky_psd, empirical_cov, mc_integral_oracle, sample_paths, validate_hurst
 from vfbm.errors import ConfigError, NotPsdError
-from vfbm.simulate import _BLOCK, _circulant_factor, _circulant_paths, _draw, _equispaced
-from vfbm.verify import random_mixing, suite_mc
+from vfbm.simulate import _BLOCK, _circulant_factor, _circulant_paths, _draw, _equispaced, check_seed
+from vfbm.verify import random_mixing, run_suite, suite_mc
 
 
 def _standard_model():
@@ -236,6 +236,20 @@ def test_sample_paths_rejects_a_count_that_is_not_a_positive_integer():
     with pytest.raises(ValueError, match="n must be >= 1, got 0"):
         sample_paths(model, grid, 0, seed=0)
     assert sample_paths(model, grid, np.int64(3), seed=0).n_paths == 3
+
+
+@pytest.mark.parametrize("bad", [True, False, -1, 2**64, 1.0, "1", None])
+def test_every_seeded_routine_rejects_a_seed_that_is_not_an_integer_in_range(bad):
+    # a bool is not a seed: True would run silently at seed 1
+    _, model = _standard_model()
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        check_seed(bad)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sample_paths(model, TimeGrid((0.5, 1.0)), 3, seed=bad)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        McConfig(n_reps=100, grid_step=0.1, trunc=100.0, seed=bad)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_suite("tildec", seed=bad)
 
 
 def test_sample_paths_draws_one_default_rng_stream():

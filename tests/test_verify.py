@@ -7,10 +7,12 @@ import pytest
 
 import vfbm.covariance
 import vfbm.model
-from vfbm import assemble_via_kernels, coeffs_from_mixing, cov_pair
+import vfbm.representation
+from vfbm import MixingMatrices, assemble_via_kernels, causal_factorize, coeffs_from_mixing, cov_pair, tilde_c
 from vfbm import verify
-from vfbm.errors import DegenerateComponentError
-from vfbm.verify import random_mixing, suite_prop31, suite_theorem1
+from vfbm.errors import DegenerateComponentError, InfeasibleFactorizationError
+from vfbm.special import phi
+from vfbm.verify import random_hurst, random_mixing, suite_factorization, suite_prop31, suite_theorem1, suite_tildec
 
 
 def _theorem1_point_by_point(seed: int, n_draws: int) -> dict:
@@ -70,6 +72,123 @@ def _prop31_point_by_point(seed: int, n_models: int, n_times: int = 6) -> dict:
     return worst
 
 
+def _tildec_model_by_model(seed: int, n_models: int) -> list[dict]:
+    """suite_tildec's report from one mixing, coefficient model and C~ per model."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_models):
+        p = int(rng.integers(2, 4))
+        m = random_mixing(rng, p, a_minus_scale=float(rng.uniform(0, 1.5)))
+        model = coeffs_from_mixing(m)
+        ct = tilde_c(m)
+        for i in range(1, p + 1):
+            for j in range(1, p + 1):
+                if i == j:
+                    continue
+                lhs = ct[i - 1, j - 1] * 2.0 * phi(model.hurst[i - 1], model.hurst[j - 1])
+                rhs = model.sigma[i - 1] * model.sigma[j - 1] * model.c[i - 1, j - 1]
+                worst = verify._fold(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return [verify._record("tildec/amplitude_identity", worst, 1e-10)]
+
+
+def _factorization_model_by_model(seed: int, n_models: int) -> list[dict]:
+    """suite_factorization's report from one causal_factorize call per model."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_models):
+        p = int(rng.integers(2, 4))
+        h = random_hurst(rng, p)
+        a_plus = rng.normal(size=(p, p)) + p * np.eye(p)
+        m0 = MixingMatrices(a_plus=a_plus, a_minus=np.zeros((p, p)), hurst=h)
+        ct = tilde_c(m0)
+        recovered = causal_factorize(ct, h)
+        ct2 = tilde_c(recovered)
+        worst = verify._fold(worst, float(np.max(np.abs(ct - ct2))) / max(1.0, float(np.max(np.abs(ct)))))
+    rejected = 0.0
+    h = random_hurst(np.random.default_rng(seed + 1), 2)
+    cos_h = np.cos(np.pi * np.asarray(h.h))
+    for bad, reason in (([[1.0, 0.9], [0.2, 1.0]], "NotSymmetric"), ([[1.0, 2.0], [2.0, 1.0]], "NotPD")):
+        try:
+            causal_factorize(cos_h[:, None] * np.array(bad), h)
+            rejected = 1.0
+        except InfeasibleFactorizationError as exc:
+            if exc.reason != reason:
+                rejected = 1.0
+    return [
+        verify._record("factorization/roundtrip", worst, 1e-10),
+        verify._record("factorization/rejects_infeasible", rejected, 0.5),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 202, 505, 606])
+def test_tildec_and_factorization_stacks_match_model_by_model_calls(seed):
+    # the same bits: the stacks take every product, sine, cosine and phi as one model's call does
+    assert suite_tildec(seed, n_models=50) == _tildec_model_by_model(seed, 50)
+    assert suite_factorization(seed, n_models=50) == _factorization_model_by_model(seed, 50)
+
+
+def _count_rejected_mixings(monkeypatch, threshold: float) -> tuple[list, list]:
+    """Raise the degenerate-variance threshold so that random_mixing discards
+    some mixings; return the lists that collect the mixings it discards and
+    the stacks in which verify's batches find a degenerate one."""
+    monkeypatch.setattr(vfbm.model, "_DEGENERATE_TOL", threshold)
+    real_mixing, real_stacks = verify.MixingMatrices, verify._gram_stacks
+    rejected, replayed = [], []
+
+    def counted(*args, **kwargs):
+        try:
+            return real_mixing(*args, **kwargs)
+        except DegenerateComponentError:
+            rejected.append(args)
+            raise
+
+    def stacks(*args):
+        try:
+            return real_stacks(*args)
+        except DegenerateComponentError as exc:
+            replayed.append(exc.at)
+            raise
+
+    monkeypatch.setattr(verify, "MixingMatrices", counted)
+    monkeypatch.setattr(verify, "_gram_stacks", stacks)
+    return rejected, replayed
+
+
+def test_tildec_replays_the_draws_random_mixing_rejects(monkeypatch):
+    rejected, replayed = _count_rejected_mixings(monkeypatch, 1.0)
+    expected = _tildec_model_by_model(0, 20)
+    assert rejected
+    assert suite_tildec(0, n_models=20) == expected
+    assert len(replayed) == len(rejected)
+
+
+def test_prop31_replays_the_draws_random_mixing_rejects(monkeypatch):
+    rejected, replayed = _count_rejected_mixings(monkeypatch, 1.0)
+    expected = _prop31_point_by_point(0, 12)
+    assert rejected
+    records = suite_prop31(0, n_models=12)
+    assert len(replayed) == len(rejected)
+    assert [r["check"] for r in records] == list(expected)
+    for r in records:
+        assert abs(r["statistic"] - expected[r["check"]]) <= 1e-13, r
+
+
+@pytest.mark.parametrize(
+    "threshold, value, reason",
+    # at seed 16 the first model to break either rule has 3 components, and a later one
+    # with 2 components breaks it with another statistic
+    [("_FACTOR_PD_TOL", 0.002, "NotPD"), ("_SYMMETRY_TOL", 0.0, "NotSymmetric")],
+)
+def test_factorization_raises_the_error_of_the_first_infeasible_model(monkeypatch, threshold, value, reason):
+    monkeypatch.setattr(vfbm.representation, threshold, value)
+    with pytest.raises(InfeasibleFactorizationError) as expected:
+        _factorization_model_by_model(16, 20)
+    with pytest.raises(InfeasibleFactorizationError) as batched:
+        suite_factorization(16, n_models=20)
+    assert expected.value.reason == reason
+    assert (batched.value.reason, str(batched.value)) == (expected.value.reason, str(expected.value))
+
+
 @pytest.mark.parametrize("seed", [0, 7, 202])
 def test_prop31_batch_layout_matches_point_by_point_calls(seed):
     expected = _prop31_point_by_point(seed, 10)
@@ -82,21 +201,12 @@ def test_prop31_batch_layout_matches_point_by_point_calls(seed):
 def test_theorem1_replays_the_draws_random_mixing_rejects(monkeypatch):
     # with the degenerate-variance threshold raised, random_mixing discards some
     # mixings; the batch must discard the same ones and so see the same draws
-    monkeypatch.setattr(vfbm.model, "_DEGENERATE_TOL", 0.3)
-    real = verify.MixingMatrices
-    rejected = []
-
-    def counted(*args, **kwargs):
-        try:
-            return real(*args, **kwargs)
-        except DegenerateComponentError:
-            rejected.append(args)
-            raise
-
-    monkeypatch.setattr(verify, "MixingMatrices", counted)
+    rejected, replayed = _count_rejected_mixings(monkeypatch, 0.3)
     expected = _theorem1_point_by_point(0, 40)
     assert rejected
-    for r in suite_theorem1(0, n_draws=40):
+    records = suite_theorem1(0, n_draws=40)
+    assert len(replayed) == len(rejected)
+    for r in records:
         assert abs(r["statistic"] - expected[r["check"]]) <= 1e-13, r
 
 
@@ -112,7 +222,10 @@ def test_cov_rows_keep_the_exchange_rule_on_rows_with_i_above_j(p, critical_pair
     assert model.critical[i - 1, j - 1].any() == critical_pair
     s, t = np.random.default_rng(p).uniform(-3, 3, size=(2, i.size, 8))
     assert (s != t).all()
-    values = verify._cov_rows(i, j, *verify._model_coeffs(model, i, j), s, t)
+    a, b = np.minimum(i, j) - 1, np.maximum(i, j) - 1
+    h = np.array(model.hurst.h)
+    columns = (h[a], h[b], model.sigma[a], model.sigma[b], model.c[a, b], model.c[b, a], model.f[a, b])
+    values = verify._cov_rows(i, j, model.critical[a, b], columns, s, t)
     for k in range(i.size):
         assert np.array_equal(values[k], cov_pair(model, i[k], j[k], s[k], t[k])), (i[k], j[k])
         via = assemble_via_kernels(m, int(i[k]), int(j[k]), s[k], t[k])
@@ -129,6 +242,14 @@ def test_theorem1_batch_layout_matches_point_by_point_calls(seed):
     for r in records:
         assert abs(r["statistic"] - expected[r["check"]]) <= 1e-13, r
     assert records[-1]["statistic"] == 0.0
+
+
+@pytest.mark.parametrize("suite, sizes", [("theorem1", {"n_draws": 0}), ("tildec", {"n_models": 0}),
+                                          ("factorization", {"n_models": 0})])
+def test_a_suite_with_no_draws_passes_with_zero_statistics(suite, sizes):
+    records = verify.SUITES[suite](0, **sizes)
+    assert records and all(r["pass"] for r in records)
+    assert all(r["statistic"] == 0.0 for r in records)
 
 
 def _nan_on_call(monkeypatch, name: str, nth: int) -> None:
@@ -151,7 +272,7 @@ def _nan_on_call(monkeypatch, name: str, nth: int) -> None:
         ("prop31", {"n_models": 2}, "_cov_rows", 1, "prop31/closed_form_vs_kernel_assembly"),
         ("prop31", {"n_models": 2}, "_assemble_rows", 1, "prop31/variance_vs_kernel_assembly"),
         ("tildec", {"n_models": 3}, "phi", 1, "tildec/amplitude_identity"),
-        ("factorization", {"n_models": 3}, "tilde_c", 2, "factorization/roundtrip"),
+        ("factorization", {"n_models": 3}, "_tilde_c", 2, "factorization/roundtrip"),
         ("quadrature", {}, "kernel_cov", 1, "quadrature/kernel_agreement"),
     ],
 )
