@@ -344,13 +344,13 @@ def _build_cells(grid: TimeGrid, cfg: McConfig, right_edge: float):
         marks.add(pnt)
         marks.update(np.clip([pnt - 1.0, pnt + 1.0], left_edge, right_edge))
     bounds = sorted(marks)
-    edges = [left_edge]
+    pieces = [[left_edge]]
     for a, b in zip(bounds, bounds[1:]):  # a sorted set: b > a
         mid = 0.5 * (a + b)
         step = fine if any(abs(mid - pnt) < 1.0 for pnt in sing) else cfg.grid_step
         k = max(1, int(round((b - a) / step)))
-        edges.extend(np.linspace(a, b, k + 1)[1:])
-    edges = np.asarray(edges)
+        pieces.append(np.linspace(a, b, k + 1)[1:])
+    edges = np.concatenate(pieces)
     return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
 
 

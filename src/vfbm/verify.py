@@ -7,8 +7,26 @@ run them at their own seeds and sizes.
 
 No suite builds a ``MixingMatrices`` or a ``CovarianceModel`` per model.
 Each makes all its draws first, in the order of the RNG stream that
-``random_mixing`` and ``random_hurst`` would consume, recording only the raw
-exponents and mixing matrices; one stacked ``_gram_and_sigma`` pass per
+``random_mixing`` and ``random_hurst`` would consume, recording only each
+model's raw numbers.  ``_draw``, which ``random_hurst`` and
+``random_mixing`` call too, takes them in the fewest Generator calls that
+consume the same PCG64 stream:
+
+* one ``rng.random(k)`` for the A- scale (when it is drawn) and the p
+  exponents, mapped as ``lo + (hi - lo) * u``, the arithmetic of
+  ``rng.uniform``; exponents that ``random_hurst`` rejects are drawn
+  again, p at a time;
+* one ``rng.normal(size=2 p^2)`` for A+ and A- / scale, as two
+  ``normal(size=(p, p))`` calls would draw them; a replay that discards
+  d degenerate mixings draws (d + 1) 2 p^2 normals and keeps the last.
+
+``theorem1`` takes (s, t, T, lambda) from one ``rng.random(4)`` too, and
+(i, j) from two scalar ``rng.integers`` calls, which equal one
+``integers(size=2)``.  The number of components p keeps its own
+``integers`` call: bounded integers take 32-bit halves of the 64-bit
+outputs, and PCG64 keeps the unused half for the next such call, so they
+cannot share a call with the 64-bit draws of ``random`` and ``normal``.
+One stacked ``_gram_and_sigma`` pass per
 number of components p (``_gram_stacks``, the arithmetic of
 ``MixingMatrices``) gives every model's Gram products and scales.  In
 ``theorem1``, ``prop31`` and ``tildec`` a mixing that ``random_mixing``
@@ -54,8 +72,14 @@ __all__ = ["random_hurst", "random_mixing", "run_suite", "SUITES"]
 
 # Keep random exponents away from the rejected near-singular band (and from
 # numerically awkward extremes) unless a pair is made critical on purpose.
-_H_LO, _H_HI = 0.08, 0.92
+_H_RANGE = (0.08, 0.92)
 _PAIR_SUM_MARGIN = 1e-3
+# The other ranges that the suites draw uniformly from: the A- scale (prop31
+# has its own), the times s, t, T and theorem1's lambda.
+_SCALE_RANGE = (0.0, 1.5)
+_PROP31_SCALE_RANGE = (0.3, 1.5)
+_TIME_RANGE = (-3.0, 3.0)
+_LAMBDA_RANGE = (0.2, 5.0)
 
 _QUADRATURE_TOL = 1e-6  # the quadrature suite's tolerance
 _MC_REPS = 20_000  # the Monte Carlo suite's replications
@@ -63,35 +87,60 @@ _MC_REPS = 20_000  # the Monte Carlo suite's replications
 
 def random_hurst(rng: np.random.Generator, p: int, critical_pair: bool = False) -> HurstVector:
     """Exponents with all pair sums clear of 1; optionally pair (1,2) exactly critical."""
-    return validate_hurst(_draw_hurst(rng, p, critical_pair).tolist())
-
-
-def _draw_hurst(rng: np.random.Generator, p: int, critical_pair: bool) -> np.ndarray:
-    """random_hurst's exponents as an array, drawn alike but not validated."""
-    while True:
-        h = rng.uniform(_H_LO, _H_HI, size=p)
-        if critical_pair:
-            h[1] = 1.0 - h[0]
-        v = h.tolist()
-        pairs = ((i, j) for i in range(p) for j in range(i + 1, p) if (i, j) != (0, 1) or not critical_pair)
-        if all(abs(v[i] + v[j] - 1.0) >= _PAIR_SUM_MARGIN for i, j in pairs):
-            return h
+    return validate_hurst(_draw(rng, p, critical_pair, matrices=0)[1])
 
 
 def random_mixing(
     rng: np.random.Generator, p: int, critical_pair: bool = False, a_minus_scale: float = 1.0
 ) -> MixingMatrices:
     """A random representation with non-degenerate components."""
-    h = random_hurst(rng, p, critical_pair)
+    _, h, z = _draw(rng, p, critical_pair)
+    hurst = validate_hurst(h)
     while True:
+        a_plus, a_minus = z.reshape(2, p, p)
         try:
-            return MixingMatrices(
-                a_plus=rng.normal(size=(p, p)),
-                a_minus=a_minus_scale * rng.normal(size=(p, p)),
-                hurst=h,
-            )
+            return MixingMatrices(a_plus=a_plus, a_minus=a_minus_scale * a_minus, hurst=hurst)
         except DegenerateComponentError:
-            continue
+            z = rng.normal(size=2 * p * p)
+
+
+def _uniform(lo_hi: tuple, u):
+    """rng.uniform(lo, hi)'s value from the rng.random() value (or array) u
+    that it consumes: numpy's own arithmetic, lo + (hi - lo) * u."""
+    lo, hi = lo_hi
+    return lo + (hi - lo) * u
+
+
+def _draw(
+    rng: np.random.Generator, p: int, critical_pair: bool = False, scale=1.0, matrices: int = 2, discard: int = 0
+) -> tuple:
+    """One model's raw numbers: (A- scale, exponents, normals), on the stream
+    of one rng.uniform call per number and one rng.normal call per matrix,
+    in the fewest Generator calls.
+
+    scale is the A- scale, or the (lo, hi) range from which it is drawn
+    before the exponents.  The scale and the first p exponents take one
+    rng.random call, mapped by _uniform; exponents that random_hurst rejects
+    are drawn again, p at a time.  The normals of discard + 1 attempts at
+    ``matrices`` p x p matrices (A+, then A- / scale) take one rng.normal
+    call, of which the last attempt's are kept, flat; the first ``discard``
+    are dropped as random_mixing drops degenerate mixings.  The scale and
+    the exponents are Python floats.
+    """
+    drawn = isinstance(scale, tuple)
+    u = rng.random(p + drawn).tolist()
+    if drawn:
+        scale = _uniform(scale, u.pop(0))
+    while True:
+        h = [_uniform(_H_RANGE, x) for x in u]
+        if critical_pair:
+            h[1] = 1.0 - h[0]
+        pairs = ((i, j) for i in range(p) for j in range(i + 1, p) if (i, j) != (0, 1) or not critical_pair)
+        if all(abs(h[i] + h[j] - 1.0) >= _PAIR_SUM_MARGIN for i, j in pairs):
+            break
+        u = rng.random(p).tolist()
+    n = matrices * p * p
+    return scale, h, rng.normal(size=(discard + 1) * n)[-n:] if n else None
 
 
 def _fold(worst: float, *values: float) -> float:
@@ -115,34 +164,25 @@ def _record(check: str, statistic: float, tolerance: float) -> dict:
     }
 
 
-def _draw_mixing(
-    rng: np.random.Generator, p: int, critical_pair: bool, a_minus_scale: float, discard: int = 0
-) -> tuple:
-    """random_mixing's draws, unvalidated: the exponents, then (A+, A-) pairs,
-    of which the first ``discard`` are dropped as random_mixing drops
-    degenerate ones."""
-    h = _draw_hurst(rng, p, critical_pair)
-    for _ in range(discard + 1):
-        a_plus = rng.normal(size=(p, p))
-        a_minus = a_minus_scale * rng.normal(size=(p, p))
-    return h, a_plus, a_minus
-
-
-def _gram_stacks(p: list, mixings: list) -> list:
+def _gram_stacks(p: list, models: list) -> list:
     """Gram products and scales of models drawn in order, in one
     _gram_and_sigma pass per number of components.
 
-    p holds each model's number of components and mixings its (H, A+, A-).
-    Returns one (ks, H, gram, sigma) per number of components: ks the
-    models that have it, in order, H their exponents (D, p), gram their
-    products (3, D, p, p) and sigma their scales (D, p).  A degenerate
-    mixing raises the DegenerateComponentError of the first one in draw
-    order, with ``at`` = (its model,).
+    p holds each model's number of components and models its (scale, H, z)
+    from _draw: z holds A+ and then A- / scale, or A+ alone for A- = 0; each
+    stack applies its scales to A- at once.  Returns one (ks, H, gram, sigma)
+    per number of components: ks the models that have it, in order, H their
+    exponents (D, p), gram their products (3, D, p, p) and sigma their
+    scales (D, p).  A degenerate mixing raises the DegenerateComponentError
+    of the first one in draw order, with ``at`` = (its model,).
     """
     stacks, degenerate = [], []
     for q in sorted(set(p)):
         ks = [k for k, p_k in enumerate(p) if p_k == q]
-        h, a_plus, a_minus = (np.array(x) for x in zip(*(mixings[k] for k in ks)))
+        scale, h, z = zip(*(models[k] for k in ks))
+        h, z = np.array(h), np.array(z).reshape(len(ks), -1, q, q)
+        a_plus = z[:, 0]
+        a_minus = np.array(scale)[:, None, None] * z[:, 1] if z.shape[1] == 2 else np.zeros_like(a_plus)
         try:
             stacks.append((np.array(ks), h, *_gram_and_sigma(a_plus, a_minus, h)))
         except DegenerateComponentError as exc:
@@ -153,7 +193,7 @@ def _gram_stacks(p: list, mixings: list) -> list:
 
 
 def _replay(draw) -> tuple:
-    """(stacks, *rest) for the draws of draw(rejected) = (p, mixings, *rest).
+    """(stacks, *rest) for the draws of draw(rejected) = (p, models, *rest).
 
     draw makes a suite's draws from its seed, dropping at model k the first
     rejected[k] mixings it draws.  A degenerate mixing is dropped in this
@@ -162,9 +202,9 @@ def _replay(draw) -> tuple:
     """
     rejected: dict[int, int] = {}
     while True:
-        p, mixings, *rest = draw(rejected)
+        p, models, *rest = draw(rejected)
         try:
-            return (_gram_stacks(p, mixings), *rest)
+            return (_gram_stacks(p, models), *rest)
         except DegenerateComponentError as exc:
             k = exc.at[0]
             rejected[k] = rejected.get(k, 0) + 1
@@ -205,7 +245,8 @@ def suite_theorem1(seed: int, n_draws: int = 400) -> list[dict]:
     """Self-similarity, stationary increments, symmetrization, zero boundary."""
     stacks, ij, times = _replay(lambda rejected: _theorem1_draws(seed, n_draws, rejected))
     i, j = np.array(ij, dtype=int).reshape(-1, 2).T
-    times = np.array(times).reshape(-1, 4)
+    u = np.array(times).reshape(-1, 4)
+    times = np.hstack([_uniform(_TIME_RANGE, u[:, :3]), _uniform(_LAMBDA_RANGE, u[:, 3:])])
     critical, coeffs, r = _pair_columns(_model_table(stacks, n_draws), np.arange(n_draws), i, j)
     h_a, h_b, sigma_a, sigma_b = coeffs[:4]
     kappa2 = sigma_a * sigma_b * r
@@ -241,17 +282,18 @@ def suite_theorem1(seed: int, n_draws: int = 400) -> list[dict]:
 
 def _theorem1_draws(seed: int, n_draws: int, rejected: dict[int, int]) -> tuple:
     """The draws of suite_theorem1 in the order of its RNG stream, for _replay:
-    p, the mixings, (i, j) and (s, t, T, lambda) of each draw."""
+    p, the models, (i, j) and the rng.random() values of (s, t, T, lambda)
+    of each draw, in six Generator calls per draw.  The two scalar
+    integers calls take (i, j) as integers(1, q + 1, size=2) does."""
     rng = np.random.default_rng(seed)
-    p, mixings, ij, times = [], [], [], []
+    p, models, ij, times = [], [], [], []
     for k in range(n_draws):
         q = int(rng.integers(2, 4))
-        a_minus_scale = float(rng.uniform(0, 1.5))
         p.append(q)
-        mixings.append(_draw_mixing(rng, q, k % 3 == 0, a_minus_scale, rejected.get(k, 0)))
-        ij.append(rng.integers(1, q + 1, size=2).tolist())
-        times.append([*rng.uniform(-3, 3, size=3).tolist(), float(rng.uniform(0.2, 5.0))])
-    return p, mixings, ij, times
+        models.append(_draw(rng, q, k % 3 == 0, _SCALE_RANGE, discard=rejected.get(k, 0)))
+        ij += (rng.integers(1, q + 1), rng.integers(1, q + 1))
+        times.append(rng.random(4))
+    return p, models, ij, times
 
 
 def _cov_rows(i: np.ndarray, j: np.ndarray, critical: np.ndarray, coeffs: tuple, s: np.ndarray, t: np.ndarray):
@@ -295,8 +337,9 @@ def suite_prop31(seed: int, n_models: int = 12, n_times: int = 6) -> list[dict]:
     variances.
     """
     stacks, rows, points = _replay(lambda rejected: _prop31_draws(seed, n_models, n_times, rejected))
-    model, i, j = np.concatenate(rows, axis=1)
-    s, t = np.moveaxis(np.concatenate(points), -1, 0)
+    # the empty blocks let a suite of no models pass with zero statistics
+    model, i, j = np.concatenate([np.empty((3, 0), dtype=int), *rows], axis=1)
+    s, t = np.moveaxis(np.concatenate([np.empty((0, n_times, 2)), *points]), -1, 0)
     table = _model_table(stacks, n_models)
     critical, coeffs, _ = _pair_columns(table, model, i, j)
     direct = _cov_rows(i, j, critical, coeffs, s, t)
@@ -322,16 +365,16 @@ def _prop31_draws(seed: int, n_models: int, n_times: int, rejected: dict[int, in
     p and the mixing of each model, its rows (model, i, j), 1-based, and
     their points (p * p, n_times, (s, t))."""
     rng = np.random.default_rng(seed)
-    p, mixings, rows, points = [], [], [], []
+    p, models, rows, points = [], [], [], []
     for k in range(n_models):
         q = 2 + k % 2
         # every fifth model is causal-only (A- = 0)
-        a_minus_scale = 0.0 if k % 5 == 0 else float(rng.uniform(0.3, 1.5))
+        scale = 0.0 if k % 5 == 0 else _PROP31_SCALE_RANGE
         p.append(q)
-        mixings.append(_draw_mixing(rng, q, k % 2 == 0, a_minus_scale, rejected.get(k, 0)))
+        models.append(_draw(rng, q, k % 2 == 0, scale, discard=rejected.get(k, 0)))
         rows.append(np.vstack([np.full(q * q, k), np.indices((q, q)).reshape(2, -1) + 1]))
-        points.append(rng.uniform(-3, 3, size=(q * q, n_times, 2)))
-    return p, mixings, rows, points
+        points.append(rng.uniform(*_TIME_RANGE, size=(q * q, n_times, 2)))
+    return p, models, rows, points
 
 
 def suite_tildec(seed: int, n_models: int = 20) -> list[dict]:
@@ -356,13 +399,12 @@ def _tildec_draws(seed: int, n_models: int, rejected: dict[int, int]) -> tuple:
     """The draws of suite_tildec in the order of its RNG stream, for _replay:
     p and the mixing of each model."""
     rng = np.random.default_rng(seed)
-    p, mixings = [], []
+    p, models = [], []
     for k in range(n_models):
         q = int(rng.integers(2, 4))
-        a_minus_scale = float(rng.uniform(0, 1.5))
         p.append(q)
-        mixings.append(_draw_mixing(rng, q, False, a_minus_scale, rejected.get(k, 0)))
-    return p, mixings
+        models.append(_draw(rng, q, False, _SCALE_RANGE, discard=rejected.get(k, 0)))
+    return p, models
 
 
 def suite_factorization(seed: int, n_models: int = 20) -> list[dict]:
@@ -373,14 +415,13 @@ def suite_factorization(seed: int, n_models: int = 20) -> list[dict]:
     error of the first such model in draw order, as causal_factorize would.
     """
     rng = np.random.default_rng(seed)
-    p, mixings = [], []
+    p, models = [], []
     for _ in range(n_models):
         q = int(rng.integers(2, 4))
-        h = _draw_hurst(rng, q, critical_pair=False)
-        a_plus = rng.normal(size=(q, q)) + q * np.eye(q)  # keep it invertible
+        _, h, z = _draw(rng, q, matrices=1)
         p.append(q)
-        mixings.append((h, a_plus, np.zeros((q, q))))
-    stacks = [(ks, h, _tilde_c(h, *gram)) for ks, h, gram, _ in _gram_stacks(p, mixings)]
+        models.append((None, h, z.reshape(q, q) + q * np.eye(q)))  # keep A+ invertible, with A- = 0
+    stacks = [(ks, h, _tilde_c(h, *gram)) for ks, h, gram, _ in _gram_stacks(p, models)]
     try:
         factors = [_causal_factor(ct, h) for _, h, ct in stacks]
     except (ValueError, SingularCosineError, InfeasibleFactorizationError):

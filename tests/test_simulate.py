@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import vfbm
 from vfbm import McConfig, TimeGrid, cholesky_psd, empirical_cov, mc_integral_oracle, sample_paths, validate_hurst
 from vfbm.errors import ConfigError, NotPsdError
-from vfbm.simulate import _BLOCK, _circulant_factor, _circulant_paths, _draw, _equispaced, check_seed
+from vfbm.simulate import _BLOCK, _build_cells, _circulant_factor, _circulant_paths, _draw, _equispaced, check_seed
 from vfbm.verify import random_mixing, run_suite, suite_mc
 
 
@@ -485,6 +485,37 @@ def test_mc_oracle_rejects_bad_configs():
         mc_integral_oracle(m, grid, McConfig(n_reps=200, grid_step=0.1, trunc=3.9, seed=0))
     with pytest.raises(ConfigError):  # truncation tail bound above budget
         mc_integral_oracle(m, grid, McConfig(n_reps=200, grid_step=0.1, trunc=4.2, seed=0))
+
+
+def _cells_by_list(grid: TimeGrid, cfg: McConfig, right_edge: float):
+    """_build_cells with its edges built element by element in a Python list."""
+    sing = sorted({0.0} | set(grid.times))
+    fine = cfg.grid_step / 16.0
+    left_edge = -cfg.trunc
+    marks = {left_edge, right_edge}
+    for pnt in sing:
+        marks.add(pnt)
+        marks.update(np.clip([pnt - 1.0, pnt + 1.0], left_edge, right_edge))
+    bounds = sorted(marks)
+    edges = [left_edge]
+    for a, b in zip(bounds, bounds[1:]):
+        mid = 0.5 * (a + b)
+        step = fine if any(abs(mid - pnt) < 1.0 for pnt in sing) else cfg.grid_step
+        k = max(1, int(round((b - a) / step)))
+        edges.extend(np.linspace(a, b, k + 1)[1:])
+    edges = np.asarray(edges)
+    return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
+
+
+# criterion 7's grid and discretization: right edge max(grid) + 1 when A- = 0, trunc otherwise
+@pytest.mark.parametrize("right_edge", [3.0, 120.0])
+def test_mc_cells_equal_the_list_built_cells(right_edge):
+    grid = TimeGrid((0.5, 1.0, 2.0))
+    cfg = McConfig(n_reps=100_000, grid_step=0.05, trunc=120.0, seed=777)
+    mids, widths = _build_cells(grid, cfg, right_edge)
+    ref_mids, ref_widths = _cells_by_list(grid, cfg, right_edge)
+    assert mids.size > 1000
+    assert np.array_equal(mids, ref_mids) and np.array_equal(widths, ref_widths)
 
 
 def test_mc_oracle_brownian_variance():

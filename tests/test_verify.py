@@ -11,6 +11,7 @@ import vfbm.representation
 from vfbm import MixingMatrices, assemble_via_kernels, causal_factorize, coeffs_from_mixing, cov_pair, tilde_c
 from vfbm import verify
 from vfbm.errors import DegenerateComponentError, InfeasibleFactorizationError
+from vfbm.model import validate_hurst
 from vfbm.special import phi
 from vfbm.verify import random_hurst, random_mixing, suite_factorization, suite_prop31, suite_theorem1, suite_tildec
 
@@ -245,11 +246,84 @@ def test_theorem1_batch_layout_matches_point_by_point_calls(seed):
 
 
 @pytest.mark.parametrize("suite, sizes", [("theorem1", {"n_draws": 0}), ("tildec", {"n_models": 0}),
-                                          ("factorization", {"n_models": 0})])
+                                          ("factorization", {"n_models": 0}), ("prop31", {"n_models": 0})])
 def test_a_suite_with_no_draws_passes_with_zero_statistics(suite, sizes):
     records = verify.SUITES[suite](0, **sizes)
     assert records and all(r["pass"] for r in records)
     assert all(r["statistic"] == 0.0 for r in records)
+
+
+def _frozen_random_hurst(rng, p: int, critical_pair: bool = False) -> list:
+    """random_hurst's exponents as it drew them with one rng.uniform call per attempt."""
+    while True:
+        h = rng.uniform(0.08, 0.92, size=p)
+        if critical_pair:
+            h[1] = 1.0 - h[0]
+        v = h.tolist()
+        pairs = ((i, j) for i in range(p) for j in range(i + 1, p) if (i, j) != (0, 1) or not critical_pair)
+        if all(abs(v[i] + v[j] - 1.0) >= 1e-3 for i, j in pairs):
+            return v
+
+
+def _frozen_random_mixing(rng, p: int, critical_pair: bool, a_minus_scale: float) -> tuple:
+    """random_mixing's (H, A+, A-) as it drew them with one rng.normal call per
+    matrix, and the number of degenerate mixings it discarded."""
+    h = _frozen_random_hurst(rng, p, critical_pair)
+    discarded = 0
+    while True:
+        a_plus = rng.normal(size=(p, p))
+        a_minus = a_minus_scale * rng.normal(size=(p, p))
+        try:
+            MixingMatrices(a_plus=a_plus, a_minus=a_minus, hurst=validate_hurst(h))
+            return h, a_plus, a_minus, discarded
+        except DegenerateComponentError:
+            discarded += 1
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("critical_pair", [False, True])
+@pytest.mark.parametrize("a_minus_scale", [0.0, 0.7])
+@pytest.mark.parametrize("degenerate_tol", [None, 1.0])
+def test_random_hurst_and_random_mixing_keep_the_stream_of_one_call_per_matrix(
+    monkeypatch, p, critical_pair, a_minus_scale, degenerate_tol
+):
+    # the merged draws must give the same numbers and leave the generator in the
+    # same state as one uniform call per exponent vector and one normal call per
+    # matrix; a raised degenerate-variance threshold makes random_mixing retry
+    if degenerate_tol is not None:
+        monkeypatch.setattr(vfbm.model, "_DEGENERATE_TOL", degenerate_tol)
+    discarded = 0
+    for seed in range(50):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        h = random_hurst(rng, p, critical_pair)
+        assert _same_bits(np.array(h.h), np.array(_frozen_random_hurst(ref, p, critical_pair)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        m = random_mixing(rng, p, critical_pair, a_minus_scale)
+        h_ref, a_plus, a_minus, n = _frozen_random_mixing(ref, p, critical_pair, a_minus_scale)
+        discarded += n
+        assert _same_bits(np.array(m.hurst.h), np.array(h_ref))
+        assert _same_bits(m.a_plus, a_plus) and _same_bits(m.a_minus, a_minus), seed
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert (discarded > 0) == (degenerate_tol is not None)
+
+
+@pytest.mark.parametrize(
+    "lo_hi",
+    [verify._H_RANGE, verify._SCALE_RANGE, verify._PROP31_SCALE_RANGE, verify._TIME_RANGE, verify._LAMBDA_RANGE],
+)
+def test_the_uniform_map_is_numpys_uniform_bit_for_bit(lo_hi):
+    # a numpy build that fused uniform's multiply and add into an FMA would
+    # shift the verify reports; it fails here instead
+    lo, hi = lo_hi
+    u = np.random.default_rng(3).random(200_000)
+    expected = np.random.default_rng(3).uniform(lo, hi, 200_000)
+    assert _same_bits(lo + (hi - lo) * u, expected)
+    assert _same_bits(verify._uniform(lo_hi, u), expected)
+    assert [verify._uniform(lo_hi, x) for x in u[:2000].tolist()] == expected[:2000].tolist()
 
 
 def _nan_on_call(monkeypatch, name: str, nth: int) -> None:
