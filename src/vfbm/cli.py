@@ -10,9 +10,12 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -36,7 +39,7 @@ from .model import (
     validate_model,
 )
 from .representation import causal_factorize, coeffs_from_mixing, load_model
-from .simulate import sample_paths
+from .simulate import plan_paths
 from .verify import run_suite
 
 # The keys a c_tilde file in object form may carry.
@@ -77,6 +80,8 @@ def _grid_labels(grid: TimeGrid, p: int) -> list[str]:
     return [f"{t:.17g},{c}" for t in grid.times for c in range(1, p + 1)]
 
 
+# Bytes of the shortest line of a simulate CSV, "0,0,1,0\n".
+_MIN_LINE_BYTES = 8
 # Values the CSV kernel formats per call: long enough that numpy's loops, not
 # the interpreter, take the time, and short enough that the arrays of one call
 # stay under 1 MB.
@@ -302,12 +307,20 @@ def _cmd_factorize(args) -> int:
 def _cmd_simulate(args) -> int:
     model = ensure_valid(load_model(args.model))
     grid = _parse_grid(args.grid)
-    ens = sample_paths(model, grid, args.n, args.seed)
-    rows = enumerate(ens.paths.reshape(ens.n_paths, -1))  # one block per path
+    plan = plan_paths(model, grid)
+    chunks = plan.draw(args.n, args.seed)
+    # the paths are drawn as they are written, so an output too large for the
+    # disk would otherwise fill it before failing
+    need = args.n * grid.n * model.p * _MIN_LINE_BYTES
+    free = shutil.disk_usage(Path(args.out).parent).free
+    if need > free:
+        raise OSError(errno.ENOSPC, f"{os.strerror(errno.ENOSPC)}: {args.n} paths need at least {need} bytes "
+                                    f"of CSV, and the directory of {args.out} has {free} free")
+    rows = enumerate(path for chunk in chunks for path in chunk.reshape(len(chunk), -1))  # one block per path
     _write_csv(args.out, "rep,time,component,value", _grid_labels(grid, model.p), rows)
     model_hash = hashlib.sha256(json.dumps(model_to_dict(model), sort_keys=True).encode("utf-8")).hexdigest()
     sys.stdout.write(
-        json.dumps({"n": ens.n_paths, "seed": args.seed, "model_hash": model_hash, "method": ens.method,
+        json.dumps({"n": args.n, "seed": args.seed, "model_hash": model_hash, "method": plan.method,
                     "out": args.out}) + "\n"
     )
     return 0
@@ -324,6 +337,7 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vfbm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -374,7 +388,8 @@ def main(argv=None) -> int:
         return _fail("Usage", str(exc), 2)
     except VfbmError as exc:
         return _fail(exc.code, str(exc), 1)
-    # MemoryError: a request too large to allocate, e.g. simulate --n 10**12; a
+    # MemoryError: a request too large to allocate, e.g. cov on 10**6 grid points;
+    # OSError includes simulate's output too large for the disk; a
     # json.JSONDecodeError is a ValueError
     except (OSError, KeyError, ValueError, MemoryError) as exc:
         return _fail(type(exc).__name__, str(exc), 2)

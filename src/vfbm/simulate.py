@@ -1,7 +1,13 @@
 """Exact path sampling and the Monte Carlo discretization oracle.
 
-``sample_paths`` draws exact Gaussian skeletons of the vector process in
-one of two ways, and records which in ``PathEnsemble.method``:
+A draw of exact Gaussian skeletons of the vector process comes in two
+steps.  ``plan_paths`` computes, once per (model, grid), the factor of the
+grid law and picks the method, recorded in ``PathPlan.method`` (and in
+``PathEnsemble.method``); a covariance that is not PSD raises
+``NotPsdError`` here, before any path exists.  ``PathPlan.draw`` then gives
+the paths in chunks of a fixed size, so what it holds at once does not grow
+with the number of paths; ``sample_paths`` fills one (n, n_times, p) array
+from them.  The two methods:
 
 - ``"circulant"``: on an equispaced grid t_k = (k0 + k) Delta, k0 in {0, 1},
   whose dimension n p exceeds one factorization block, the M increments
@@ -17,22 +23,25 @@ one of two ways, and records which in ``PathEnsemble.method``:
   n p x n p matrix.  It is exact only when every per-frequency matrix is
   PSD: an eigenvalue below -1e-12 max|lambda| (the zero-pivot rule of
   ``cholesky_psd``) sends the draw to the Cholesky path instead, and one in
-  [-1e-12 max|lambda|, 0] is treated as 0.
+  [-1e-12 max|lambda|, 0] is treated as 0.  A chunk holds
+  max(1, _CHUNK_BYTES // (16 L p)) pairs of paths.
 - ``"cholesky"``: every other grid, by Cholesky factorization of the grid
   covariance (semidefinite pivots, e.g. the identically-zero row at grid
   time 0, are skipped).  ``cholesky_psd`` is a blocked right-looking
   factorization in diagonal blocks of 128 rows, done in place on one copy
   of the matrix: a column loop factors each block and the panel below it,
   skipping zero pivots, and one matrix product per block column updates
-  the rest.
+  the rest.  A chunk holds a multiple of 384 paths, about _CHUNK_BYTES of
+  normals, and the last chunk takes a lone last path with it: BLAS
+  multiplies a single row by another kernel, whose sums round differently.
 
 ``mc_integral_oracle`` instead simulates the moving-average construction
 directly: the stochastic integral is discretized by a midpoint Riemann sum
 on a truncated domain with local refinement around the kernel
 singularities, giving an end-to-end statistical check of the whole
 covariance machinery.  The sum is linear in its normals, x = K z, so the
-oracle draws x exactly from N(0, K K^T) through the same Cholesky draw as
-``sample_paths``.
+oracle draws x exactly from N(0, K K^T) by the Cholesky draw, in one
+product.
 
 Reproducibility contract: every seeded routine draws its standard normals
 from one ``np.random.default_rng(seed)`` stream, replication after
@@ -43,12 +52,19 @@ takes n p normals per path, path r the r-th block.  A circulant draw takes
 component, then frequency, then real and imaginary part; pair q gives path
 2q (real part) and path 2q + 1 (imaginary part).  An odd number of paths
 drops the last pair's imaginary part, and the first k paths of a larger
-draw equal a k-path draw.
+draw equal a k-path draw.  The chunks take their normals from the stream
+in this order, so a circulant draw is bit for bit the draw of all its
+paths at once, whatever the chunk size.  So is a Cholesky draw, as far as
+BLAS rounds each row of z L^T alike whatever rows come with it.  With one
+OpenBLAS thread, chunks that start at multiples of 384 rows do.  With
+several, OpenBLAS may split a product of another row count otherwise,
+which moves last bits of a one-shot draw of another n as well.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +88,13 @@ _PIVOT_TOL = 1e-10
 _ZERO_TOL = 1e-12
 # rows per diagonal block of cholesky_psd
 _BLOCK = 128
+# bytes of standard normals one chunk of PathPlan.draw takes, up to its minimum
+# of one pair (circulant) or _CHUNK_ROWS paths (Cholesky)
+_CHUNK_BYTES = 1 << 19
+# a Cholesky chunk holds a multiple of this many paths: 3 * _BLOCK, a multiple
+# of the 24 rows that OpenBLAS's AVX-512 kernel multiplies at once, so that
+# chunks start where a product of all the rows starts a group of rows
+_CHUNK_ROWS = 3 * _BLOCK
 # a grid time t_k is on the equispaced grid (k0 + k) Delta when it is within
 # _GRID_ULPS * eps * (k0 + k) Delta of it
 _GRID_ULPS = 4
@@ -98,6 +121,54 @@ class PathEnsemble:
     @property
     def n_paths(self) -> int:
         return self.paths.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class PathPlan:
+    """The factor of the exact draw on one grid, computed once for any number of paths.
+
+    ``method`` "circulant": ``factor`` is B of ``_circulant_factor``, shape
+    (p, p, 2m), for the m increments of a grid that starts at k0 Delta;
+    "cholesky": ``factor`` is L, L L^T = cov_matrix(model, grid).
+    """
+
+    method: str
+    factor: np.ndarray
+    n_times: int
+    p: int
+    m: int = 0
+    k0: int = 0
+
+    def draw(self, n: int, seed: int) -> Iterator[np.ndarray]:
+        """Paths 0..n-1 of the default_rng(seed) draw, in chunks of shape (c, n_times, p).
+
+        n and seed are checked here, before the first chunk is drawn.
+        Each chunk is a new array; joined in order, the chunks are the
+        one-shot draw of the module's reproducibility contract.
+        """
+        seed = check_seed(seed)
+        n = check_count("n", n, 1)
+        return self._chunks(n, np.random.default_rng(seed))
+
+    def _chunks(self, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+        if self.method == "circulant":
+            shape = (self.p, 2 * self.m, 2)  # the normals of one pair
+            size = 2 * max(1, _CHUNK_BYTES // (8 * math.prod(shape)))
+            for start in range(0, n, size):
+                count = min(size, n - start)
+                z = np.empty(((count + 1) // 2, *shape))
+                rng.standard_normal(out=z)
+                yield _circulant_paths(self.factor, z, self.m, self.k0)[:count]
+            return
+        dim = self.factor.shape[0]
+        size = _CHUNK_ROWS * max(1, _CHUNK_BYTES // (8 * dim * _CHUNK_ROWS))
+        start = 0
+        while start < n:
+            stop = n if n - start <= size + 1 else start + size  # a last lone row joins this chunk
+            z = np.empty((stop - start, dim))
+            rng.standard_normal(out=z)
+            yield (z @ self.factor.T).reshape(stop - start, self.n_times, self.p)
+            start = stop
 
 
 @dataclass(frozen=True)
@@ -202,7 +273,10 @@ def _factor_block_by_columns(low: np.ndarray, k0: int, k1: int, norm: float) -> 
 
 def _draw(low: np.ndarray, n: int, seed: int) -> np.ndarray:
     """n draws of N(0, low low^T), one per row: row r is the r-th block of
-    low.shape[0] normals of the default_rng(seed) stream times low^T."""
+    low.shape[0] normals of the default_rng(seed) stream times low^T.
+
+    The Cholesky draw of ``PathPlan.draw`` in one chunk, for callers that
+    need every row at once."""
     z = np.empty((n, low.shape[0]))  # filled in place: drawing a new array raised peak RSS by ~12%
     np.random.default_rng(seed).standard_normal(out=z)
     return z @ low.T
@@ -277,8 +351,8 @@ def _circulant_paths(factor: np.ndarray, z: np.ndarray, m: int, k0: int) -> np.n
     return paths.reshape(2 * pairs, m + 1 - k0, p)
 
 
-def _circulant_draw(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -> np.ndarray | None:
-    """n exact paths by circulant embedding, shape (n, grid.n, p), or None.
+def _circulant_plan(model: CovarianceModel, grid: TimeGrid) -> PathPlan | None:
+    """The circulant plan of the grid, or None.
 
     None unless the grid is equispaced from 0 or Delta with more than one
     factorization block of rows, and its embedding is PSD.
@@ -293,27 +367,39 @@ def _circulant_draw(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -
     factor = _circulant_factor(model, delta, m)
     if factor is None:
         return None
-    z = np.empty(((n + 1) // 2, model.p, 2 * m, 2))
-    np.random.default_rng(seed).standard_normal(out=z)
-    return _circulant_paths(factor, z, m, k0)[:n]
+    return PathPlan("circulant", factor, grid.n, model.p, m, k0)
+
+
+def plan_paths(model: CovarianceModel, grid: TimeGrid) -> PathPlan:
+    """The method and factor of exact draws on the grid.
+
+    Equispaced grids beyond one factorization block draw by circulant
+    embedding when it is PSD, every other grid by Cholesky factorization
+    of cov_matrix(model, grid) (the module docstring has both).  Raises
+    NotPsdError when that covariance is not positive semidefinite.
+    """
+    plan = _circulant_plan(model, grid)
+    if plan is None:
+        plan = PathPlan("cholesky", cholesky_psd(cov_matrix(model, grid).entries), grid.n, model.p)
+    return plan
 
 
 def sample_paths(model: CovarianceModel, grid: TimeGrid, n: int, seed: int) -> PathEnsemble:
     """Draw n i.i.d. exact skeletons of the process on the grid.
 
-    The joint normal has covariance cov_matrix(model, grid).  Equispaced
-    grids beyond one factorization block draw by circulant embedding when
-    it is PSD, every other grid by Cholesky factorization (the module
-    docstring has both).  Draws are reproducible per (model, grid, n, seed)
-    under the module's reproducibility contract.
+    The joint normal has covariance cov_matrix(model, grid).  The draw is
+    that of ``plan_paths(model, grid).draw(n, seed)``, its chunks copied
+    into one (n, grid.n, p) array, and is reproducible per
+    (model, grid, n, seed) under the module's reproducibility contract.
     """
-    seed = check_seed(seed)
-    n = check_count("n", n, 1)
-    method, paths = "circulant", _circulant_draw(model, grid, n, seed)
-    if paths is None:
-        method = "cholesky"
-        paths = _draw(cholesky_psd(cov_matrix(model, grid).entries), n, seed).reshape(n, grid.n, model.p)
-    return PathEnsemble(paths=paths, method=method)
+    plan = plan_paths(model, grid)
+    chunks = plan.draw(n, seed)
+    paths = np.empty((n, grid.n, model.p))
+    start = 0
+    for chunk in chunks:
+        paths[start : start + len(chunk)] = chunk
+        start += len(chunk)
+    return PathEnsemble(paths=paths, method=plan.method)
 
 
 def empirical_cov(e: PathEnsemble) -> EmpiricalCovariance:
@@ -368,9 +454,10 @@ def mc_integral_oracle(m: MixingMatrices, grid: TimeGrid, cfg: McConfig) -> McCo
     The midpoint sum X_i(t_g) = sum_k sum_cells (A_plus[i,k] f+_i(t_g, x) +
     A_minus[i,k] f-_i(t_g, x)) sqrt(width) z_k(cell) is x = K z with K of
     shape (n p, p cells), so x ~ N(0, K K^T) exactly; the n_reps replications
-    are drawn from that law by the Cholesky draw of ``sample_paths``.  The
-    domain is [-trunc, max(grid)+1]; when A_minus is nonzero the right edge
-    extends to +trunc because the anti-causal kernels carry a right tail.
+    are drawn from that law by ``_draw``, the Cholesky draw of ``sample_paths``
+    in one product.  The domain is [-trunc, max(grid)+1]; when A_minus is
+    nonzero the right edge extends to +trunc because the anti-causal kernels
+    carry a right tail.
 
     Raises ConfigError if the analytic truncation-tail bound exceeds the
     accuracy budget (the 2% discretization allowance on the variance scale).

@@ -267,6 +267,102 @@ def test_simulate_reports_its_method(tmp_path, mixing_file, capsys, grid, method
     assert report == {"n": 3, "seed": 1, "model_hash": report["model_hash"], "method": method, "out": str(out)}
 
 
+def _one_shot_paths(model, grid, n, seed):
+    """The paths of one draw of all n at once, the parent form of sample_paths."""
+    plan = vfbm.simulate.plan_paths(model, grid)
+    if plan.method == "cholesky":
+        return vfbm.simulate._draw(plan.factor, n, seed).reshape(n, grid.n, model.p)
+    z = np.empty(((n + 1) // 2, model.p, 2 * plan.m, 2))
+    np.random.default_rng(seed).standard_normal(out=z)
+    return vfbm.simulate._circulant_paths(plan.factor, z, plan.m, plan.k0)[:n]
+
+
+@pytest.mark.parametrize(
+    "times, method",
+    [(np.arange(101) / 10.0, "circulant"), (np.linspace(0.0, 3.0, 301)[1:] ** 1.5, "cholesky")],
+    ids=["circulant", "cholesky"],
+)
+def test_simulate_csv_across_a_chunk_edge_is_the_one_shot_draw(tmp_path, mixing_file, capsys, times, method):
+    # 2c + 1 paths for c pairs (circulant) or c rows (Cholesky) a chunk
+    model, grid = vfbm.load_model(mixing_file), vfbm.TimeGrid(tuple(times.tolist()))
+    plan = vfbm.simulate.plan_paths(model, grid)
+    first = len(next(plan.draw(10**9, 0)))
+    n = first + 1 if method == "circulant" else 2 * first + 1
+    assert plan.method == method and len(list(plan.draw(n, 0))) == 2
+    out = tmp_path / "paths.csv"
+    argv = ["simulate", "--model", str(mixing_file), "--grid", ",".join(map(repr, times.tolist())), "--n", str(n),
+            "--seed", "4", "--out", str(out)]
+    assert vfbm.cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == method
+    paths = _one_shot_paths(model, grid, n, 4)
+    lines = ["rep,time,component,value"]
+    lines += [f"{r},{grid.times[k]:.17g},{c + 1},{x:.17g}"
+              for r, k, c in np.ndindex(paths.shape) for x in [float(paths[r, k, c])]]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_simulate_memory_does_not_grow_with_the_path_count(tmp_path, mixing_file, capsys):
+    # tracemalloc sees numpy's buffers; 40 paths already fill several chunks
+    import tracemalloc
+
+    grid = ",".join(repr(k / 200) for k in range(2001))
+    peaks = {}
+    for n in (40, 400):
+        argv = ["simulate", "--model", str(mixing_file), "--grid", grid, "--n", str(n), "--out", str(tmp_path / "p.csv")]
+        tracemalloc.start()
+        try:
+            assert vfbm.cli.main(argv) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["method"] == "circulant"
+    assert peaks[400] - peaks[40] <= vfbm.simulate._CHUNK_BYTES, peaks
+
+
+def _main_in_process(argv):
+    """(status, stdout, stderr) of vfbm.cli.main; -h exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = vfbm.cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+def test_main_builds_one_parser_that_answers_as_a_fresh_one(tmp_path, mixing_file):
+    c_tilde = tmp_path / "ct.json"
+    c_tilde.write_text(json.dumps({"hurst": [0.3, 0.6], "c_tilde": _CT}))
+    out = str(tmp_path / "out")
+    calls = [
+        ["simulate", "--model", str(mixing_file), "--n", "2"],  # a usage error: --grid and --out missing
+        ["-h"],
+        ["validate", "--model", str(mixing_file), "--out", out],
+        ["coeffs", "--mixing", str(mixing_file), "--out", out],
+        ["cov", "--model", str(mixing_file), "--grid", "0,0.5,1", "--out", out],
+        ["factorize", "--c-tilde", str(c_tilde), "--out", out],
+        ["simulate", "--model", str(mixing_file), "--grid", "0.5,1", "--n", "3", "--seed", "2", "--out", out],
+        ["verify", "--suite", "tildec", "--seed", "1", "--out", out],
+    ]
+
+    def run(argv, fresh):
+        if fresh:
+            vfbm.cli._build_parser.cache_clear()
+        result = _main_in_process(argv)
+        written = Path(out).read_bytes() if os.path.exists(out) else None
+        if os.path.exists(out):
+            os.unlink(out)
+        return result, written
+
+    reused = [run(argv, fresh=False) for argv in calls]
+    assert vfbm.cli._build_parser() is vfbm.cli._build_parser()
+    fresh = [run(argv, fresh=True) for argv in calls]
+    assert reused == fresh
+    statuses = [status for (status, _, _), _ in reused]
+    assert statuses == [2, 0, 0, 0, 0, 0, 0, 0]
+    assert json.loads(reused[0][0][2])["error"] == "Usage" and reused[1][0][1].startswith("usage: vfbm")
+
+
 def test_not_psd_covariance_exits_1_with_one_json_line(tmp_path, mixing_file, monkeypatch, capsys):
     indefinite = vfbm.covariance.CovMatrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
     monkeypatch.setattr("vfbm.simulate.cov_matrix", lambda model, grid: indefinite)
@@ -343,8 +439,11 @@ _VALIDATE = ("validate", "--model", "in.json")
 _FACTORIZE = ("factorize", "--c-tilde", "in.json")
 _FACTORIZE_FLAG = (*_FACTORIZE, "--hurst", "0.3,0.6")
 _SIMULATE_SEED = ("simulate", "--model", "in.json", "--grid", "0.5,1", "--n", "2", "--out", "paths.csv", "--seed")
-# 10**12 paths cannot be allocated, so the request fails at once
+# the CSV of 10**12 paths cannot fit on the disk, so the request fails at once
 _SIMULATE_HUGE = ("simulate", "--model", "in.json", "--grid", "0.5,1", "--n", str(10**12), "--out", "paths.csv")
+# the same on a 200-point equispaced grid, which draws by circulant embedding
+_SIMULATE_HUGE_LONG = ("simulate", "--model", "in.json", "--grid", ",".join(f"{k / 10:g}" for k in range(200)),
+                       "--n", str(10**12), "--out", "paths.csv")
 _COV_OVERFLOW = ("cov", "--model", "in.json", "--grid", "0.5,1,1e308", "--out", "cov.csv")
 _COV_EMPTY_FIELD = ("cov", "--model", "in.json", "--grid", "0.5,,1, ", "--out", "cov.csv")
 _COEFFS = ("coeffs", "--mixing", "in.json")
@@ -415,7 +514,9 @@ _DEEP_HURST = '{"hurst": ' + "[" * 1000 + "]" * 1000 + "}"
         _case({"hurst": [0.3, 0.6], "coefficients": {"sigmas": [2.0, 1.0]}}, "unknown-coefficients-key", match="sigmas"),
         _case(_coeff_model(pairs=[{**_C12, "weight": 2.0}]), "unknown-pair-key", match="weight"),
         _case(_coeff_model(hurst=(0.3, 0.7)), "cov-grid-overflow", argv=_COV_OVERFLOW, match="grid"),
-        _case(_mixing_model(), "simulate-out-of-memory", error="MemoryError", argv=_SIMULATE_HUGE),
+        _case(_mixing_model(), "simulate-out-of-memory", error="OSError", argv=_SIMULATE_HUGE),
+        _case(_mixing_model(), "simulate-out-of-disk-200-points", error="OSError", argv=_SIMULATE_HUGE_LONG,
+              match="No space left on device"),
         _case(_coeff_model(), "cov-grid-empty-field", argv=_COV_EMPTY_FIELD, match="float"),
         _case(_DEEP_HURST, "nested-1000-deep", match="nested too deeply"),
         _case(_mixing_model(a_plus=((1e200, 0.0), (0.0, 1.0))), "mixing-gram-overflow", argv=_COEFFS, match="must not overflow"),

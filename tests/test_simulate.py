@@ -12,6 +12,7 @@ import vfbm
 from vfbm import McConfig, TimeGrid, cholesky_psd, empirical_cov, mc_integral_oracle, sample_paths, validate_hurst
 from vfbm.errors import ConfigError, NotPsdError
 from vfbm.simulate import _BLOCK, _build_cells, _circulant_factor, _circulant_paths, _draw, _equispaced, check_seed
+from vfbm.simulate import plan_paths
 from vfbm.verify import random_mixing, run_suite, suite_mc
 
 
@@ -399,6 +400,76 @@ def test_a_non_psd_embedding_draws_the_cholesky_paths(monkeypatch):
     assert _circulant_factor(_LONG_GRID_SEED_9, delta, 99) is None
     assert _circulant_factor(_LONG_GRID_SEED_1, delta, 99) is not None
     _assert_parent_cholesky_draw(_LONG_GRID_SEED_9, times, monkeypatch)
+
+
+def _chunk_lengths(plan, n, seed=0):
+    return [len(chunk) for chunk in plan.draw(n, seed)]
+
+
+def _full_chunk(plan):
+    """Paths in a full chunk of the plan's draw: only the first chunk is drawn."""
+    return len(next(plan.draw(10**9, 0)))
+
+
+@pytest.mark.parametrize("times", [np.linspace(0.0, 7.0, 70), 0.1 * np.arange(1, 71)], ids=["from0", "fromDelta"])
+def test_chunked_circulant_draw_equals_the_one_shot_draw(times):
+    # c pairs a chunk: at n = 2c - 1, 2c and 2c + 1 the last pair of a chunk is
+    # cut, fills it, or starts the next chunk with half a pair
+    grid = TimeGrid(tuple(times))
+    plan = plan_paths(_THREE_COMPONENTS, grid)
+    factor, m, k0 = _circulant_setup(_THREE_COMPONENTS, grid)
+    assert plan.method == "circulant" and (plan.m, plan.k0) == (m, k0) and np.array_equal(plan.factor, factor)
+    c = _full_chunk(plan) // 2
+    assert c > 1
+    seed = 21
+    for n in (1, 2 * c - 1, 2 * c, 2 * c + 1):
+        z = np.empty(((n + 1) // 2, 3, 2 * m, 2))
+        np.random.default_rng(seed).standard_normal(out=z)
+        one_shot = _circulant_paths(factor, z, m, k0)[:n]
+        assert _chunk_lengths(plan, n) == [2 * c] * (n // (2 * c)) + ([n % (2 * c)] if n % (2 * c) else [])
+        assert np.array_equal(sample_paths(_THREE_COMPONENTS, grid, n, seed).paths, one_shot)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_chunked_cholesky_draw_equals_the_one_shot_draw(k):
+    # c paths a chunk; at n = c k + 1 the last lone path joins the last chunk,
+    # since BLAS multiplies a single row by a kernel whose sums round differently.
+    # Dimension 600: there OpenBLAS splits a product the same way for any row
+    # count, with one thread or two
+    times = np.linspace(0.0, 3.0, 301)[1:] ** 1.5
+    grid = TimeGrid(tuple(times))
+    plan = plan_paths(_LONG_GRID_SEED_1, grid)
+    c = _full_chunk(plan)
+    assert plan.method == "cholesky" and c >= _BLOCK
+    n, seed = c * k + 1, 8
+    assert _chunk_lengths(plan, n) == [c] * (k - 1) + [c + 1]
+    assert _chunk_lengths(plan, c + 2) == [c, 2]
+    expected = _draw(cholesky_psd(vfbm.cov_matrix(_LONG_GRID_SEED_1, grid).entries), n, seed)
+    assert np.array_equal(sample_paths(_LONG_GRID_SEED_1, grid, n, seed).paths.reshape(n, -1), expected)
+
+
+def test_plan_draw_checks_its_count_and_seed_before_drawing():
+    plan = plan_paths(_LONG_GRID_SEED_1, TimeGrid((0.5, 1.0)))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        plan.draw(0, 1)
+    with pytest.raises(ValueError, match="seed"):
+        plan.draw(3, -1)
+
+
+def test_sample_paths_peaks_below_one_and_a_half_path_arrays():
+    # tracemalloc sees numpy's buffers: the chunks add at most a fixed budget to the
+    # (n, n_times, p) array the paths are copied into
+    import tracemalloc
+
+    grid = TimeGrid(tuple(np.arange(2001) / 200.0))
+    tracemalloc.start()
+    try:
+        ens = sample_paths(_standard_model()[1], grid, 400, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.method == "circulant"
+    assert peak < 1.5 * ens.paths.nbytes, (peak, ens.paths.nbytes)
 
 
 @pytest.mark.parametrize(
