@@ -13,6 +13,7 @@ import argparse
 import errno
 import functools
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -77,7 +78,8 @@ def _emit(obj: dict, out: str | None) -> None:
 
 def _grid_labels(grid: TimeGrid, p: int) -> list[str]:
     """The `time,component` CSV text of each grid point, in (time, component) order."""
-    return [f"{t:.17g},{c}" for t in grid.times for c in range(1, p + 1)]
+    times = [f"{t:.17g}" for t in grid.times]
+    return [f"{t},{c}" for t in times for c in range(1, p + 1)]
 
 
 # Bytes of the shortest line of a simulate CSV, "0,0,1,0\n".
@@ -157,23 +159,27 @@ def _value_text(x: np.ndarray) -> np.ndarray:
     17 significant digits (_significand) and e = floor(log10|v|): an optional "-",
     then "0." and -e - 1 zeros when e < 0, then the digits, the first max(n, e + 1)
     of them for n significant ones, with "." after digit e when e >= 0 and a digit
-    follows.  Every other value takes the %.17g text of Python, one at a time: 0,
-    non-finite, subnormal, |v| < 1e-4 or >= 1e16, and a D that log10 put out of range.
+    follows.  0 and -0.0 print as "0" and "-0": the text of 1.0 with its digit made 0.
+    Every other value takes the %.17g text of Python, one at a time: non-finite,
+    subnormal, |v| < 1e-4 or >= 1e16, and a D that log10 put out of range.
     """
     u8 = np.uint8
     a = np.abs(x)
+    zero = a == 0
     fixed = (a >= 1e-4) & (a < 1e16)  # False for nan
     e, d = _significand(np.where(fixed, a, 1.0))  # 1.0 keeps log10 and the casts finite
     fixed &= (d >= 10**16) & (d < 10**17)
+    fixed |= zero
     grid = _digits(d)
     digits, shifted = grid[1:], grid[:-1]  # positions 0..17, and the same one position on
     n = np.max((digits[:17] != 0) * np.arange(1, 18, dtype=u8)[:, None], axis=0).view(np.int8)
     digits[:17] += u8(ord("0"))
+    digits[0] -= zero.view(u8)  # a zero's "1" of 1.0 becomes "0"
     digits *= (_DIGIT_POS < np.maximum(n, e + np.int8(1))).view(u8)
     # the point's position, e + 1, or 18 (none)
     point = np.int8(18) - ((n > e + np.int8(1)) & (e >= 0)).view(np.int8) * (np.int8(17) - e)
     text = np.empty((_VALUE_WIDTH, x.size), u8)
-    text[0] = (x < 0).view(u8) * u8(ord("-"))
+    text[0] = np.signbit(x).view(u8) * u8(ord("-"))
     below_one = (e < 0).view(u8)
     text[1] = below_one * u8(ord("0"))
     text[2] = below_one * u8(ord("."))
@@ -195,59 +201,52 @@ def _text_table(texts: list[str]) -> np.ndarray:
     return np.array([t.encode("utf-8") for t in texts]).view(np.uint8).reshape(len(texts), -1)
 
 
-def _csv_runs(rows, m: int):
-    """Cut the values of rows, (key, block) pairs of m values each, into runs of
-    _CSV_CHUNK values, the last one shorter.  Yield, per run, the `key,` text of
-    each of its values as the rows of a table, the label index of its first value
-    and the values."""
-    rows = iter(rows)
-    held, done, more = [], 0, True  # blocks not yet written in full; values of held[0] written
-    while more:
-        for key, block in rows:
-            held.append((f"{key},", block))
-            if len(held) * m - done >= _CSV_CHUNK:
-                break
-        else:
-            more = False
-        if not held:
-            return
-        keys = _text_table([key for key, _ in held])
-        values = np.concatenate([block for _, block in held])
-        end = done + (values.size - done) // _CSV_CHUNK * _CSV_CHUNK if more else values.size
-        for start in range(done, end, _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, end)
-            blocks = np.arange(start // m, (stop - 1) // m + 1)
-            counts = np.minimum((blocks + 1) * m, stop) - np.maximum(blocks * m, start)
-            yield np.repeat(keys[blocks[0] : blocks[-1] + 1], counts, axis=0), start % m, values[start:stop]
-        held, done = held[end // m :], end % m
-
-
 def _write_csv(path: str | Path, header: str, labels: list[str], rows) -> None:
     """Write the header, then a `key,label,value` line per value of each (key, block) of
     rows, labels[i] going with block[i]; values have 17 significant digits, so they read
     back exactly.  The bytes are those of f"{key},{label},{x:.17g}\n" line by line.
 
-    Lines are built _CSV_CHUNK at a time in a uint8 array, one row per line: the
-    key and label text, each padded with 0 bytes to the longest, then the value
-    text of _value_text, a numpy kernel for values in fixed notation with a
-    fallback to Python's own formatting for every other value, and "\n".
-    Deleting every 0 byte leaves the lines, which go to the file in one write."""
+    Lines are built a run at a time in one reused uint8 array, one row per line:
+    the key and label text, each padded with 0 bytes to its field, then the value
+    text of _value_text, a numpy kernel for values in fixed notation and for 0,
+    with a fallback to Python's own formatting for every other value, and "\n".
+    A run holds max(1, round(_CSV_CHUNK / m)) whole blocks of m values, or, when
+    m > _CSV_CHUNK, a _CSV_CHUNK slice of one block.  The "\n" and label columns
+    are filled when the array is laid out, except that each slice of a block
+    longer than a run writes its own labels; a run writes one key row per block
+    and its values.  The key field is as wide as the widest key so far, and a
+    wider key lays the array out anew.  Deleting every 0 byte leaves the lines,
+    which go to the file in one write per run."""
     tails = _text_table([f"{label}," for label in labels])
+    m = len(labels)
+    per_run = max(1, round(_CSV_CHUNK / m))
+    run_lines = per_run * m if m <= _CSV_CHUNK else _CSV_CHUNK
 
     def write(tmp):
         with open(tmp, "wb") as fh:
             fh.write(f"{header}\n".encode("utf-8"))
-            for keys, first, values in _csv_runs(rows, len(labels)):
-                key_end = keys.shape[1]
-                value_at = key_end + tails.shape[1]
-                # a bytearray under the array, so that translate reads it without a copy
-                buf = bytearray(values.size * (value_at + _VALUE_WIDTH + 1))
-                lines = np.frombuffer(buf, np.uint8).reshape(values.size, -1)
-                lines[:, :key_end] = keys
-                lines[:, key_end:value_at] = tails.take(np.arange(first, first + values.size), axis=0, mode="wrap")
-                lines[:, value_at:-1] = _value_text(values).T
-                lines[:, -1] = ord("\n")
-                fh.write(buf.translate(None, b"\0"))
+            key_width, blocks = 0, iter(rows)
+            while run := list(itertools.islice(blocks, per_run)):
+                keys = np.array([f"{key},".encode("utf-8") for key, _ in run])
+                if keys.itemsize > key_width:  # lay the lines out for the wider key
+                    key_width = keys.itemsize
+                    value_at = key_width + tails.shape[1]
+                    # a bytearray under the array, so that translate reads it without a copy
+                    buf = bytearray(run_lines * (value_at + _VALUE_WIDTH + 1))
+                    lines = np.frombuffer(buf, np.uint8).reshape(run_lines, -1)
+                    if m <= run_lines:
+                        lines.reshape(per_run, m, -1)[:, :, key_width:value_at] = tails
+                    lines[:, -1] = ord("\n")
+                keys = keys.astype(f"S{key_width}").view(np.uint8).reshape(len(run), 1, key_width)
+                values = np.concatenate([block for _, block in run])
+                for start in range(0, values.size, run_lines):
+                    part = values[start : start + run_lines]
+                    if m > run_lines:
+                        lines[: part.size, key_width:value_at] = tails[start : start + part.size]
+                    lines[: part.size].reshape(len(run), -1, lines.shape[1])[:, :, :key_width] = keys
+                    lines[: part.size, value_at:-1] = _value_text(part).T
+                    size = part.size * lines.shape[1]  # a partial run writes its own lines only
+                    fh.write((buf if size == len(buf) else buf[:size]).translate(None, b"\0"))
 
     _atomic_write(path, write)
 

@@ -59,6 +59,14 @@ BLAS rounds each row of z L^T alike whatever rows come with it.  With one
 OpenBLAS thread, chunks that start at multiples of 384 rows do.  With
 several, OpenBLAS may split a product of another row count otherwise,
 which moves last bits of a one-shot draw of another n as well.
+
+So reruns are bit-identical for one numpy/BLAS build at one BLAS thread
+count.  Cholesky draws and ``mc_integral_oracle`` multiply normals by a
+factor through BLAS, and the thread count may reorder its sums: a one-shot
+draw of 769 rows at dimension 600 differs in every row between one and two
+OpenBLAS threads.  A circulant draw makes no BLAS product (elementwise
+sums, an FFT and cumulative sums per pair); the CSVs of 79 circulant
+``vfbm simulate`` runs were equal at one and two threads.
 """
 
 from __future__ import annotations

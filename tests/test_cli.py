@@ -188,9 +188,10 @@ def test_csv_kernel_text_on_adversarial_values():
     powers = [_ulps(10.0**k, s) for k in range(-5, 17) for s in range(-2, 3)]
     integers = [float(v) for v in (1, 7, 10, 123000, 2**31, 10**15 + 1, 2**53 - 1, 2**53, 9999999999999998)]
     fractions = [0.1, 0.5, 1 / 3, 2 / 3]
+    zeros = [0.0, -0.0]
     ties = _tie_values()
     assert all(Decimal(x).as_tuple().digits[-1] == 5 and len(Decimal(x).as_tuple().digits) == 18 for x in ties)
-    values = powers + integers + fractions + ties
+    values = powers + integers + fractions + zeros + ties
     values += [-x for x in values]
     assert _kernel_text(values) == [f"{x:.17g}" for x in values]
 
@@ -206,6 +207,12 @@ def test_csv_kernel_text_on_adversarial_values():
         (vfbm.cli._CSV_CHUNK, vfbm.cli._CSV_CHUNK // 2, 4),
         (vfbm.cli._CSV_CHUNK, vfbm.cli._CSV_CHUNK + 1, 2),
         (vfbm.cli._CSV_CHUNK, vfbm.cli._CSV_CHUNK - 1, 3),
+        # keys of blocks 0-120, 4 blocks a run: the key field widens inside a run
+        # (blocks 2 and 10) and at a run edge (block 100), and narrower keys follow wider ones
+        (8, 2, 121),
+        (vfbm.cli._CSV_CHUNK, vfbm.cli._CSV_CHUNK // 4, 12),  # m divides the chunk: runs of 4 whole blocks
+        (vfbm.cli._CSV_CHUNK, vfbm.cli._CSV_CHUNK, 3),  # m equals the chunk: one block a run
+        (vfbm.cli._CSV_CHUNK, 1000, 11),  # runs of 4, 4 and a partial last run of 3 blocks
     ],
 )
 def test_write_csv_lines_equal_the_line_by_line_format_across_chunks(tmp_path, monkeypatch, chunk, m, blocks):
@@ -605,7 +612,7 @@ _FUZZ_LEAVES = [_NAN, _INF, -_INF, 10**400, -(10**30), 2**64, True, False, None,
                 1e308, -1e308, 5e-324, 0.0, -0.0, 0.5, 1.0, -1]
 _FUZZ_RAW = [b"", b"NaN", b"[", b"{}", b"null", b"\xff\xfe", b'{"hurst": [0.3, 0.6], "hurst": [0.3, 0.6]}']
 _FUZZ_GRID_POINTS = ["0.5", "1", "2", "0", "-1", "1e-320", "1e308", "nan", "inf", "-inf", "", "x"]
-_FUZZ_COUNTS = ["-1", "0", "1", "3", str(10**15), str(2**63), "1.5", "x"]  # 10**15 paths cannot be allocated
+_FUZZ_COUNTS = ["-1", "0", "1", "3", str(10**15), str(2**63), "1.5", "x"]  # the CSV of 10**15 paths cannot fit on the disk
 _FUZZ_SEEDS = ["-1", "0", "7", str(2**64 - 1), str(2**64), str(10**30), "1e3", "x"]
 _FUZZ_SUITES = ["tildec", "factorization", "quadrature", "mc", "nope", ""]
 _FUZZ_HURST = ["0.3,0.6", "0.3", "0.5,0.5", "nan,0.6", "1e400,0.5", "0.3,0.6,0.9", ""]
